@@ -249,13 +249,13 @@ func AblationScheduler(cfg Config) *Result {
 // tasks, so tracker entry and ready-queue traffic dominate over compute.
 //
 // "global-tracker" is the seed runtime's structure — a single-stripe
-// (global-mutex) dependency tracker, one tracker lock round-trip per
-// submitted parameter, the locality ready lists under the global
-// condvar that broadcast on every push while any worker slept.
-// "sharded-tracker" is the overhauled runtime — the lock-striped
-// tracker, the per-worker bounded deques with steal-half work stealing
-// and per-worker parking, and batched submission (Batch) amortizing
-// tracker entry.  Both sweep the worker count; the notes record a
+// (global-mutex) dependency tracker and the locality ready lists under
+// the global condvar that broadcast on every push while any worker
+// slept.  (The seed's one tracker lock round-trip per submitted
+// parameter is gone from the runtime; CHANGES.md PR 1 records what it
+// cost.)  "sharded-tracker" is the overhauled runtime — the
+// lock-striped tracker, the per-worker bounded deques with steal-half
+// work stealing and per-worker parking, and Batch submission.  Both sweep the worker count; the notes record a
 // shard-count sweep at the maximum worker count so the striping itself
 // is measured, not just asserted.
 func AblationTracker(cfg Config) *Result {
@@ -274,8 +274,7 @@ func AblationTracker(cfg Config) *Result {
 	}
 
 	// Three-parameter tasks (axpy-like: two read inputs, one inout
-	// accumulator) so a batched tracker entry amortizes three per-arg
-	// lock round-trips into one shard-lock pass.
+	// accumulator), so one tracker entry covers three accesses.
 	churn := core.NewTaskDef("churn_t", func(a *core.Args) {
 		x, y, acc := a.F32(0), a.F32(1), a.F32(2)
 		for i := range acc {
@@ -284,9 +283,8 @@ func AblationTracker(cfg Config) *Result {
 	})
 	// run returns throughput in thousands of tasks per second for one
 	// runtime configuration.  overhauled=false reproduces the seed
-	// runtime's structure: one tracker stripe behind a global mutex, a
-	// per-parameter tracker round-trip per submission, the list-based
-	// locality policy, and the broadcast condvar.
+	// runtime's structure: one tracker stripe behind a global mutex,
+	// the list-based locality policy, and the broadcast condvar.
 	run := func(threads, shards int, policy core.SchedulerKind, overhauled bool) float64 {
 		// Per-chain inputs: sharing read inputs across chains would make
 		// every task append to a few giant reader lists whose pruning
@@ -308,11 +306,10 @@ func AblationTracker(cfg Config) *Result {
 			var secs float64
 			withProcs(threads, func() {
 				rt := core.New(core.Config{
-					Workers:           threads,
-					Scheduler:         policy,
-					TrackerShards:     shards,
-					UnbatchedAnalysis: !overhauled,
-					LegacyWakeup:      !overhauled,
+					Workers:       threads,
+					Scheduler:     policy,
+					TrackerShards: shards,
+					LegacyWakeup:  !overhauled,
 				})
 				secs = timeIt(func() {
 					if overhauled {
@@ -354,7 +351,7 @@ func AblationTracker(cfg Config) *Result {
 		sharded.add(float64(t), run(t, 0, core.SchedLocality, true))
 	}
 	r.Notes = append(r.Notes,
-		fmt.Sprintf("%d chains × %d tasks of %d-float axpy; global = seed runtime (1 tracker stripe, per-arg lock round-trips, locality lists under a broadcast condvar); sharded = striped tracker + Batch submission + steal-half deques + per-worker parking", objects, chain, block))
+		fmt.Sprintf("%d chains × %d tasks of %d-float axpy; global = seed structure (1 tracker stripe, locality lists under a broadcast condvar); sharded = striped tracker + Batch submission + steal-half deques + per-worker parking", objects, chain, block))
 	r.Series = append(r.Series, global, sharded)
 
 	// Shard-count sweep at full thread count, everything else overhauled.

@@ -106,14 +106,10 @@ func Opaque(v any) Arg { return Arg{kind: argOpaque, value: v} }
 // memory addresses.
 func dataKey(data any) uintptr { return dataid.Key(data) }
 
-// allocLike returns an allocator producing fresh storage with the same
-// shape as data, used by the renaming engine.
-func allocLike(data any) func() any { return dataid.AllocLike(data) }
-
 // byteSize returns the storage footprint of a data argument, used to
 // account renamed memory against Config.MemoryLimit.
 func byteSize(data any) int64 { return dataid.ByteSize(data) }
 
 // copyInto copies src's contents into dst; both must have the shape
-// produced by allocLike for the same exemplar.
+// dataid.AllocLike produces for the same exemplar.
 func copyInto(dst, src any) { dataid.CopyInto(dst, src) }

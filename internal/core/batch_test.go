@@ -106,15 +106,14 @@ func TestTrackerShardsConfig(t *testing.T) {
 }
 
 // TestLegacyAblationConfig runs the pre-overhaul configuration (list
-// scheduler, condvar wakeup, per-arg analysis) end to end: the ablation
-// baseline must stay a working runtime, not a museum piece.
+// scheduler, condvar wakeup, one tracker stripe) end to end: the
+// ablation baseline must stay a working runtime, not a museum piece.
 func TestLegacyAblationConfig(t *testing.T) {
 	rt := New(Config{
-		Workers:           4,
-		Scheduler:         SchedLegacyLists,
-		TrackerShards:     1,
-		UnbatchedAnalysis: true,
-		LegacyWakeup:      true,
+		Workers:       4,
+		Scheduler:     SchedLegacyLists,
+		TrackerShards: 1,
+		LegacyWakeup:  true,
 	})
 	x := make([]float32, 8)
 	y := make([]float32, 8)

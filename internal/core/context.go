@@ -66,9 +66,6 @@ type ContextConfig struct {
 	// TrackerShards sets the dependency tracker's lock-stripe count
 	// (see Config.TrackerShards).
 	TrackerShards int
-	// UnbatchedAnalysis selects the per-parameter lock round-trip
-	// submission path (ablation; see Config.UnbatchedAnalysis).
-	UnbatchedAnalysis bool
 	// MemoryLimit bounds the bytes of live renamed storage belonging to
 	// this context; when exceeded, the submitting thread executes tasks
 	// until renamed memory is released (paper §III).  Zero disables the
@@ -152,6 +149,9 @@ type Context struct {
 	accBuf []deps.Access
 	resBuf []deps.Resolution
 	ixBuf  []int
+
+	// recs recycles task records: exec frees, submitOne reuses.
+	recs deps.FreeList[taskRec]
 }
 
 // NewContext attaches a new context to the pool.  It returns a
@@ -328,30 +328,38 @@ func (c *Context) liveRenamedBytes() int64 {
 // (graph size limit, memory limit), in which case the calling thread
 // executes this context's tasks until the condition clears.
 //
-// Submitting to a closed context returns a ClosedError; submitting to
-// a canceled context returns its CanceledError.
+// Submitting to a canceled context returns its CanceledError;
+// submitting to a closed one returns a ClosedError.
 func (c *Context) Submit(def *TaskDef, args ...Arg) error {
-	if c.closed.Load() {
-		return &ClosedError{Entity: "context", Op: "Submit"}
-	}
-	if c.canceled.Load() {
-		return c.cancelError()
+	if err := c.admit("Submit"); err != nil {
+		return err
 	}
 	c.throttle()
 	c.submitOne(def, args)
 	return nil
 }
 
-// SubmitBatch submits a sequence of task invocations, equivalent to
-// calling Submit once per element but with the per-call overhead
-// amortized (see Runtime.SubmitBatch).  It returns a ClosedError — and
-// submits nothing — if the context is closed.
-func (c *Context) SubmitBatch(calls ...TaskCall) error {
-	if c.closed.Load() {
-		return &ClosedError{Entity: "context", Op: "SubmitBatch"}
-	}
+// admit is the prologue Submit, SubmitBatch and Batch.Submit share: a
+// canceled context refuses with its CanceledError, a closed one with a
+// ClosedError naming op.  Cancellation is tested first: a tenant that
+// Pool.Drain canceled and then force-closed is told why.
+func (c *Context) admit(op string) error {
 	if c.canceled.Load() {
 		return c.cancelError()
+	}
+	if c.closed.Load() {
+		return &ClosedError{Entity: "context", Op: op}
+	}
+	return nil
+}
+
+// SubmitBatch submits a sequence of task invocations, equivalent to
+// calling Submit once per element but with the per-call overhead
+// amortized (see Runtime.SubmitBatch).  It submits nothing and returns
+// a ClosedError if the context is closed, its CanceledError if canceled.
+func (c *Context) SubmitBatch(calls ...TaskCall) error {
+	if err := c.admit("SubmitBatch"); err != nil {
+		return err
 	}
 	for i := range calls {
 		c.throttle()
@@ -386,8 +394,10 @@ func (c *Context) throttle() {
 	if limit := int64(c.cfg.GraphLimit); limit > 0 {
 		if c.g.Open() >= limit {
 			low := limit - limit/4
-			for c.g.Open() >= low {
-				if !c.helpOnce(func() bool { return c.g.Open() < low }) {
+			// One closure per episode, not per helped task: it escapes.
+			drained := func() bool { return c.g.Open() < low }
+			for !drained() {
+				if !c.helpOnce(drained) {
 					break
 				}
 			}
@@ -406,12 +416,47 @@ func (c *Context) throttle() {
 	}
 }
 
+// newRec returns a task record for def with room for nargs bound
+// arguments: a recycled one when the free list has any.
+func (c *Context) newRec(def *TaskDef, nargs int) *taskRec {
+	rec := c.recs.Get()
+	if rec == nil {
+		rec = &taskRec{ctx: c}
+		rec.args = rec.arg0[:0]
+		rec.node.Reserve(rec.succ0[:], rec.hold0[:])
+	}
+	rec.def = def
+	if nargs <= cap(rec.args) {
+		rec.args = rec.args[:nargs]
+	} else {
+		rec.args = make([]boundArg, nargs)
+	}
+	return rec
+}
+
+// freeRec recycles a record exec is finished with.  By then the node
+// has completed and released its holds, the tracker has dropped its
+// producer pointer, and every remaining pointer to the node is a
+// graph.Ref, which the next life's new ID turns Done.  A context with a
+// Recorder attached is an analysis run and keeps the seed's
+// one-allocation-per-task records.
+func (c *Context) freeRec(rec *taskRec) {
+	if c.cfg.Recorder != nil {
+		return
+	}
+	// Drop what the record references so the free list pins no user data.
+	clear(rec.args)
+	rec.def, rec.body, rec.renamedBytes = nil, Args{}, 0
+	c.recs.Put(rec)
+}
+
 // submitOne adds one task to the graph: all data parameters are resolved
-// through a single batched tracker entry, then the node is sealed.
+// through a single batched tracker entry, then the node is sealed.  It
+// is the one submission path; every entry point ends here.
 func (c *Context) submitOne(def *TaskDef, args []Arg) {
-	node := c.g.AddNode(def.kind, def.Name, def.HighPriority, nil)
-	rec := &taskRec{def: def, ctx: c, args: make([]boundArg, len(args))}
-	node.Payload = rec
+	rec := c.newRec(def, len(args))
+	node := &rec.node
+	c.g.Init(node, def.kind, def.Name, def.HighPriority, rec)
 	accs := c.accBuf[:0]
 	ixs := c.ixBuf[:0]
 	for i := range args {
@@ -425,21 +470,12 @@ func (c *Context) submitOne(def *TaskDef, args []Arg) {
 				Mode:   a.mode,
 				Region: a.region,
 				Data:   a.data,
-				Alloc:  allocLike(a.data),
 				Copy:   copyInto,
 			})
 			ixs = append(ixs, i)
 		}
 	}
-	var ress []deps.Resolution
-	if c.cfg.UnbatchedAnalysis {
-		ress = c.resBuf[:0]
-		for j := range accs {
-			ress = append(ress, c.tr.Analyze(node, accs[j]))
-		}
-	} else {
-		ress = c.tr.AnalyzeBatch(node, accs, c.resBuf[:0])
-	}
+	ress := c.tr.AnalyzeBatch(node, accs, c.resBuf[:0])
 	for j := range ress {
 		res := &ress[j]
 		i := ixs[j]
@@ -452,21 +488,12 @@ func (c *Context) submitOne(def *TaskDef, args []Arg) {
 			}
 			c.tracr.EmitCtx(c.id, c.slot, trace.EvRename, def.kind, def.Name, node.ID)
 		}
-		rec.args[i] = boundArg{
-			kind:     argData,
-			instance: res.Instance,
-			copyFrom: res.CopyFrom,
-			copyFn:   res.Copy,
-		}
+		rec.args[i] = boundArg{kind: argData, instance: res.Instance, copyFrom: res.CopyFrom}
 	}
 	// Return the scratch to the context and drop the data references the
 	// entries hold, so reuse does not pin user arrays.
-	for j := range accs {
-		accs[j] = deps.Access{}
-	}
-	for j := range ress {
-		ress[j] = deps.Resolution{}
-	}
+	clear(accs)
+	clear(ress)
 	c.accBuf, c.resBuf, c.ixBuf = accs, ress, ixs
 	c.submitted.Add(1)
 	c.outstanding.Add(1)
@@ -513,7 +540,7 @@ func (c *Context) exec(n *graph.Node, self int) {
 			// producer guarantees the source contents are final.
 			for i := range rec.args {
 				if b := &rec.args[i]; b.copyFrom != nil {
-					b.copyFn(b.instance, b.copyFrom)
+					copyInto(b.instance, b.copyFrom)
 					b.copyFrom = nil
 				}
 			}
@@ -535,6 +562,9 @@ func (c *Context) exec(n *graph.Node, self int) {
 		if rec.renamedBytes != 0 {
 			c.renamedBytes.Add(-rec.renamedBytes)
 		}
+		// Before the count below lets a Barrier return, so a drained
+		// context has every record back on its free list.
+		c.freeRec(rec)
 		if c.outstanding.Add(-1) == 0 || c.waiters.Load() > 0 {
 			// Wake this context's blocked Barrier/WaitOn/throttle caller so
 			// it re-checks its condition.  Only the context's submitter waits
@@ -559,7 +589,8 @@ func (c *Context) exec(n *graph.Node, self int) {
 // failed node is tainted, and Complete then spreads the taint to its
 // dependents.
 func (c *Context) runBody(rec *taskRec, n *graph.Node, self int) {
-	a := Args{rec: rec, ctx: c, worker: self}
+	a := &rec.body
+	*a = Args{rec: rec, ctx: c, worker: self}
 	var cause error
 	func() {
 		defer func() {
@@ -571,7 +602,7 @@ func (c *Context) runBody(rec *taskRec, n *graph.Node, self int) {
 			a.failed = err
 			return
 		}
-		rec.def.Fn(&a)
+		rec.def.Fn(a)
 	}()
 	if cause == nil {
 		cause = a.failed
@@ -614,8 +645,9 @@ func (c *Context) helpOnce(done func() bool) bool {
 // still wins).  Other contexts on the pool are unaffected.
 func (c *Context) Barrier() error {
 	c.tracr.EmitCtx(c.id, c.slot, trace.EvBarrier, -1, "", 0)
-	for c.outstanding.Load() > 0 {
-		c.helpOnce(func() bool { return c.outstanding.Load() == 0 })
+	drained := func() bool { return c.outstanding.Load() == 0 }
+	for !drained() {
+		c.helpOnce(drained)
 	}
 	c.syncCopies.Add(int64(c.tr.SyncAll()))
 	c.tracr.EmitCtx(c.id, c.slot, trace.EvBarrierDone, -1, "", 0)

@@ -84,11 +84,6 @@ type Config struct {
 	// power of two); one degenerates to a single global mutex — the
 	// ablation baseline.
 	TrackerShards int
-	// UnbatchedAnalysis makes every parameter enter the dependency
-	// tracker through its own lock round-trip instead of one batched
-	// shard-lock pass per task — the pre-overhaul submission path, kept
-	// as an ablation so the batching win stays measurable.
-	UnbatchedAnalysis bool
 	// LegacyWakeup replaces the per-worker parking protocol with the
 	// seed's global mutex+condvar (broadcast on every push while anyone
 	// sleeps) — the pre-overhaul wake machinery, kept as an ablation.
@@ -116,18 +111,17 @@ type Config struct {
 // contextConfig extracts the per-context half of a Config.
 func (cfg Config) contextConfig() ContextConfig {
 	return ContextConfig{
-		Scheduler:         cfg.Scheduler,
-		Locality:          cfg.Locality,
-		DisableRenaming:   cfg.DisableRenaming,
-		LegacyRenaming:    cfg.LegacyRenaming,
-		GraphLimit:        cfg.GraphLimit,
-		TrackerShards:     cfg.TrackerShards,
-		UnbatchedAnalysis: cfg.UnbatchedAnalysis,
-		MemoryLimit:       cfg.MemoryLimit,
-		Tracer:            cfg.Tracer,
-		Recorder:          cfg.Recorder,
-		OnFailure:         cfg.OnFailure,
-		Deadline:          cfg.Deadline,
+		Scheduler:       cfg.Scheduler,
+		Locality:        cfg.Locality,
+		DisableRenaming: cfg.DisableRenaming,
+		LegacyRenaming:  cfg.LegacyRenaming,
+		GraphLimit:      cfg.GraphLimit,
+		TrackerShards:   cfg.TrackerShards,
+		MemoryLimit:     cfg.MemoryLimit,
+		Tracer:          cfg.Tracer,
+		Recorder:        cfg.Recorder,
+		OnFailure:       cfg.OnFailure,
+		Deadline:        cfg.Deadline,
 	}
 }
 
@@ -259,12 +253,9 @@ func (rt *Runtime) Submit(def *TaskDef, args ...Arg) {
 
 // SubmitBatch submits a sequence of task invocations, equivalent to
 // calling Submit once per element but with the per-call overhead
-// amortized: the closed-runtime check happens once, the submission
-// scratch buffers stay warm, and each task enters the dependency tracker
-// through one batched shard-lock pass (AnalyzeBatch) instead of one lock
-// round-trip per parameter.  Producers with tight submission loops —
-// blocked linear algebra, parameter sweeps — use it to keep the main
-// thread ahead of the workers.
+// amortized: the closed-runtime check happens once.  Producers with
+// tight submission loops — blocked linear algebra, parameter sweeps —
+// use it to keep the main thread ahead of the workers.
 //
 // Tasks are analyzed in slice order, so dependencies between tasks of
 // the same batch resolve exactly as they would across separate Submit
@@ -334,15 +325,15 @@ func (b *Batch) Len() int { return len(b.calls) }
 
 // Submit submits every recorded invocation in order and resets the
 // batch for reuse.  Semantics match SubmitBatch, including the
-// ClosedError on a closed context (nothing is submitted then, but the
-// batch is still reset).
+// ClosedError on a closed context and the CanceledError on a canceled
+// one (nothing is submitted then, but the batch is still reset).
 func (b *Batch) Submit() error {
 	c := b.c
-	closed := c.Closed()
-	if closed && b.panicClosed {
+	if b.panicClosed && c.Closed() {
 		panic("core: Batch.Submit on closed runtime")
 	}
-	if !closed {
+	err := c.admit("Batch.Submit")
+	if err == nil {
 		for _, call := range b.calls {
 			c.throttle()
 			c.submitOne(call.def, b.args[call.lo:call.hi])
@@ -350,14 +341,9 @@ func (b *Batch) Submit() error {
 	}
 	b.calls = b.calls[:0]
 	// Drop the data references so batch reuse does not pin user arrays.
-	for i := range b.args {
-		b.args[i] = Arg{}
-	}
+	clear(b.args)
 	b.args = b.args[:0]
-	if closed {
-		return &ClosedError{Entity: "context", Op: "Batch.Submit"}
-	}
-	return nil
+	return err
 }
 
 // Barrier blocks until every submitted task has completed, with the main

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
+
+	"repro/internal/graph"
 )
 
 // taskKinds hands out one stable small integer per task definition, used
@@ -44,24 +46,37 @@ func (d *TaskDef) Kind() int { return d.kind }
 
 // boundArg is one argument after dependency analysis: the effective
 // storage the task must use (which may be a renamed instance) plus the
-// deferred seed copy for renamed inout parameters.
+// source of the deferred seed copy for renamed inout parameters.
 type boundArg struct {
 	kind     argKind
 	instance any // for argData: effective storage; for value/opaque: the value
 	copyFrom any
-	copyFn   func(dst, src any)
 }
 
-// taskRec is the runtime payload attached to each graph node.  The
-// context pointer routes a task popped by a shared pool worker back to
-// its owning tenant's accounting.
+// taskRec is everything the runtime keeps per task, in one object: the
+// graph node (whose Payload points back at the record), the bound
+// arguments, the Args handed to the body, and inline room for the
+// first arguments, successors and version holds.  The context pointer
+// routes a task popped by a shared pool worker back to its owning
+// tenant's accounting.  Records are recycled through the context's free
+// list (Context.freeRec), so nothing here may be referenced once exec
+// has freed the record.
 type taskRec struct {
+	node graph.Node
 	def  *TaskDef
 	ctx  *Context
+	// args starts out backed by arg0 and keeps whatever backs it, a
+	// spill included, across the record's lives.
 	args []boundArg
 	// renamedBytes is the storage this task's renamed parameters pin
 	// until it completes (accounted against Config.MemoryLimit).
 	renamedBytes int64
+	// body is what the task body receives; it lives here because the
+	// pointer handed to TaskDef.Fn escapes.
+	body  Args
+	arg0  [4]boundArg
+	succ0 [2]*graph.Node
+	hold0 [3]graph.Holder
 }
 
 // Args gives a task body access to its effective parameters.  Renaming

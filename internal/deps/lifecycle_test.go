@@ -316,3 +316,73 @@ func TestLegacyRenamingMatchesSeed(t *testing.T) {
 		t.Fatalf("sync-back must restore the current version's contents")
 	}
 }
+
+// TestPoisonTravelsThroughVersion: a reader or inout analyzed after the
+// poisoned writer of its version completed is tainted from what the
+// completion recorded in the version; an Out overwrite starts clean.
+// Region-tracked objects keep no completed access and are out of scope.
+func TestPoisonTravelsThroughVersion(t *testing.T) {
+	h := newHarness()
+	x := make([]float32, 4)
+	bad, _ := h.task(f32Access(x, ModeInOut))
+	early, _ := h.task(f32Access(x, ModeIn)) // analyzed before completion: the edge carries it
+	bad.MarkPoisoned()
+	h.g.Complete(bad, 0)
+	if !early.Poisoned() {
+		t.Fatalf("dependent on a live edge not tainted")
+	}
+	late, _ := h.task(f32Access(x, ModeIn))
+	through, _ := h.task(f32Access(x, ModeInOut))
+	if !late.Poisoned() || !through.Poisoned() {
+		t.Fatalf("analyzed after completion: reader tainted %v, inout tainted %v, want both", late.Poisoned(), through.Poisoned())
+	}
+	if st := h.tr.Stats(); st.TrueEdges != 3 {
+		t.Fatalf("TrueEdges = %d, want 3 (counted whether or not the producer is pending)", st.TrueEdges)
+	}
+	over, _ := h.task(f32Access(x, ModeOut))
+	after, _ := h.task(f32Access(x, ModeIn))
+	if over.Poisoned() || after.Poisoned() {
+		t.Fatalf("an Out overwrite must start clean: writer %v, its reader %v", over.Poisoned(), after.Poisoned())
+	}
+}
+
+// TestSteadyStateAnalysisAllocatesNothing: with the caller recycling its
+// node, a write chain and a read beside it recycle their versions and
+// keep their holds in the node, so tracker entry, completion and
+// release allocate nothing.  A nil Access.Alloc builds no allocator.
+func TestSteadyStateAnalysisAllocatesNothing(t *testing.T) {
+	h := newHarness()
+	x := make([]float32, 8)
+	y := make([]float32, 8)
+	accs := []Access{
+		{Key: keyOf(x), Mode: ModeIn, Data: x},
+		{Key: keyOf(y), Mode: ModeInOut, Data: y},
+	}
+	var n graph.Node
+	var out []Resolution
+	step := func() {
+		h.g.Init(&n, 0, "t", false, nil)
+		out = h.tr.AnalyzeBatch(&n, accs, out[:0])
+		h.g.Seal(&n)
+		h.g.MarkRunning(&n)
+		h.g.Complete(&n, 0)
+	}
+	step()
+	h.ready = make([]int64, 0, 64) // the harness logs ready nodes
+	if a := testing.AllocsPerRun(32, step); a != 0 {
+		t.Fatalf("analysis + completion allocate %v times per task, want 0", a)
+	}
+}
+
+// TestNilAllocRenames: a rename of an access without an allocator gets
+// storage shaped like the data.
+func TestNilAllocRenames(t *testing.T) {
+	h := newHarness()
+	x := make([]float32, 5)
+	h.task(f32Access(x, ModeIn))
+	_, res := h.task(Access{Key: keyOf(x), Mode: ModeOut, Data: x})
+	inst, ok := res[0].Instance.([]float32)
+	if !res[0].Renamed || !ok || len(inst) != len(x) || &inst[0] == &x[0] {
+		t.Fatalf("rename without Alloc = %#v (renamed %v), want fresh []float32 of length %d", res[0].Instance, res[0].Renamed, len(x))
+	}
+}

@@ -282,6 +282,14 @@ var (
 
 const intSize = 32 << (^uint(0) >> 63) / 8 // bytes in an int
 
+// alloc allocates a fresh instance shaped like a.Data.
+func (a *Access) alloc() any {
+	if a.Alloc != nil {
+		return a.Alloc()
+	}
+	return dataid.AllocLike(a.Data)()
+}
+
 // acquire returns a storage instance shaped like a.Data — recycled when
 // the class has a free instance, freshly allocated via a.Alloc
 // otherwise — plus its accounted byte size.  The instance counts as
@@ -300,7 +308,7 @@ func (p *Pool) acquire(a *Access) (any, int64) {
 		p.hits.Add(1)
 	} else {
 		p.misses.Add(1)
-		inst = a.Alloc()
+		inst = a.alloc()
 	}
 	p.liveBytes.Add(bytes)
 	return inst, bytes
@@ -330,4 +338,57 @@ func (p *Pool) forfeit(bytes int64) {
 	if p.onReclaim != nil {
 		p.onReclaim()
 	}
+}
+
+// maxFreeRecords bounds each side of a FreeList.  A list only ever
+// receives what its owner allocated when the list was empty, so it holds
+// at most the owner's high-water mark of simultaneously live records;
+// the bound keeps a program that once opened a far larger graph than the
+// default limit from pinning that peak forever.
+const maxFreeRecords = 1 << 15
+
+// FreeList recycles the fixed-size bookkeeping records of the submission
+// path — the tracker's versions, the runtime's task records — the way
+// Storage recycles renamed instances: it starts empty, grows only by
+// what is put back, and drops to the garbage collector past its bound.
+// Unlike a sync.Pool it survives garbage collections, so a steady
+// submission loop allocates nothing.
+//
+// Records are freed by workers and reused by the submitter, so the list
+// has two sides.  Put pushes onto a mutex-guarded stack.  Get belongs to
+// one thread at a time (its callers serialize: the single submitter, or
+// whoever holds the tracker shard's lock) and pops a private batch,
+// taking the lock only to swap an exhausted batch for everything freed
+// meanwhile.  The zero value is ready to use.
+type FreeList[T any] struct {
+	ready []*T // Get side
+
+	mu    sync.Mutex
+	freed []*T // Put side
+}
+
+// Get removes and returns a freed record, or nil.
+func (f *FreeList[T]) Get() *T {
+	n := len(f.ready)
+	if n == 0 {
+		f.mu.Lock()
+		f.ready, f.freed = f.freed, f.ready
+		f.mu.Unlock()
+		if n = len(f.ready); n == 0 {
+			return nil
+		}
+	}
+	x := f.ready[n-1]
+	f.ready[n-1] = nil
+	f.ready = f.ready[:n-1]
+	return x
+}
+
+// Put frees x, which nothing may reference any more.
+func (f *FreeList[T]) Put(x *T) {
+	f.mu.Lock()
+	if len(f.freed) < maxFreeRecords {
+		f.freed = append(f.freed, x)
+	}
+	f.mu.Unlock()
 }

@@ -60,8 +60,10 @@ type Access struct {
 	Region Region
 	// Data is the user-visible storage for the object's initial version.
 	Data any
-	// Alloc allocates a fresh instance with the same shape as Data.
-	// Required for renamed writes; may be nil for ModeIn.
+	// Alloc allocates a fresh instance with the same shape as Data, for
+	// a renamed write that finds no recycled one.  nil selects
+	// dataid.AllocLike(Data)(), so a caller whose data has one of the
+	// shapes dataid knows builds no allocator per access.
 	Alloc func() any
 	// Copy copies the contents of src into dst.  Required when an inout
 	// parameter is renamed; may be nil otherwise.
@@ -91,21 +93,31 @@ type Resolution struct {
 // In the default (pooled) lifecycle each version is reference-counted:
 // refs holds one count while the version is the object's current
 // version, one while its producer is pending, one per live reader and
-// one per renamed-inout successor that still has to copy from it.
-// Completion observers on the graph nodes count the references down the
-// moment each task finishes; when a *retired* (superseded, synced or
-// forgotten) version drains to zero and owns pooled storage, that
-// storage returns to the tracker's recycling pool.  Under
-// LegacyRenaming none of this runs and superseded versions are
-// abandoned to the garbage collector, as in the seed runtime.
+// one per renamed-inout successor that still has to copy from it.  The
+// tasks' references are holds on their graph nodes (graph.Holder),
+// counted down the moment each task finishes; when a *retired*
+// (superseded, synced or forgotten) version drains to zero it dies:
+// pooled storage it owns returns to the tracker's recycling pool and
+// the version itself to its shard's free list.  Under LegacyRenaming
+// no version is ever retired and superseded versions are abandoned to
+// the garbage collector, as in the seed runtime.
 type version struct {
-	// producer is the task writing this version; nil for the initial
-	// version (data that existed before any task wrote it).
-	producer *graph.Node
+	// sh is the shard of the version's object, which recycles it.
+	sh *shard
+	// producer is the task writing this version, while that task is
+	// pending: its completion records executedBy and poisoned below and
+	// then clears producer, so the tracker never keeps a pointer to a
+	// completed writer (whose storage the runtime recycles).  written
+	// tells a version whose producer completed from the initial version
+	// (data that existed before any task wrote it).
+	producer   atomic.Pointer[graph.Node]
+	written    bool
+	executedBy int32 // worker that completed the producer, or -1
+	poisoned   bool  // the producer completed poisoned: readers run on garbage
 	// readers are tasks reading this version.  The pooled lifecycle
 	// needs the list only to materialize WAR edges (DisableRenaming)
 	// and to seed a region flip; hazard detection uses nreaders.
-	readers []*graph.Node
+	readers []graph.Ref
 	// instance is the effective storage of this version.
 	instance any
 
@@ -120,28 +132,54 @@ type version struct {
 	// nreaders counts live readers only — the O(1) hazard probe that
 	// replaces the seed's lazy Done() scan over the reader list.
 	nreaders atomic.Int32
-	// retired marks the version no longer current: eligible for
-	// reclamation once refs drains to zero.
+	// retired marks the version no longer current: it dies once refs
+	// drains to zero.
 	retired atomic.Bool
-	// reclaimed guards the pool release so it happens exactly once.
-	reclaimed atomic.Bool
 }
 
-// newVersion creates a version holding the current-version reference
-// plus, when a producer is given, the pending-producer reference.
-func newVersion(producer *graph.Node, instance any) *version {
-	v := &version{producer: producer, instance: instance}
-	n := int32(1)
-	if producer != nil {
-		n++
+// The holds a task keeps on a version until it completes.  Each kind is
+// a view of the version with its own graph.Holder method, so a hold
+// costs the task node one interface value and nothing else.
+type (
+	// sourceHold keeps the instance alive for a renamed inout's seed copy.
+	sourceHold version
+	// readerHold is a live reader, counted in nreaders too.
+	readerHold version
+	// producerHold is the pending producer's own reference.
+	producerHold version
+)
+
+// newVersion returns a version, recycled when the shard's free list has
+// one, holding the current-version reference.  With a producer it is
+// that task's pending write: the producer holds a second reference.
+// Callers hold the shard lock.
+func (sh *shard) newVersion(producer *graph.Node, instance any) *version {
+	v := sh.versions.Get()
+	if v == nil {
+		v = &version{sh: sh}
 	}
-	v.refs.Store(n)
+	v.instance = instance
+	if producer == nil {
+		v.refs.Store(1)
+		return v
+	}
+	v.written = true
+	v.producer.Store(producer)
+	v.refs.Store(2)
+	producer.AddHold((*producerHold)(v))
 	return v
 }
 
-func (v *version) producerPending() bool {
-	return v.producer != nil && !v.producer.Done()
+// pendingProducer returns the task writing the version if it has not
+// completed yet, else nil.
+func (v *version) pendingProducer() *graph.Node {
+	if p := v.producer.Load(); p != nil && !p.Done() {
+		return p
+	}
+	return nil
 }
+
+func (v *version) producerPending() bool { return v.pendingProducer() != nil }
 
 func (v *version) pruneReaders() {
 	live := v.readers[:0]
@@ -150,35 +188,65 @@ func (v *version) pruneReaders() {
 			live = append(live, r)
 		}
 	}
+	clear(v.readers[len(live):])
 	v.readers = live
 }
 
-// release drops one reference; the last reference of a retired version
-// reclaims its owned storage into the pool.  Runs without the shard
-// lock (completion observers call it from worker goroutines).
-func (v *version) release(p *Pool) {
+// The ReleaseHold methods run without the shard lock, on the goroutine
+// of the worker completing the task that held the reference.
+
+func (h *sourceHold) ReleaseHold(*graph.Node) { (*version)(h).release() }
+
+func (h *readerHold) ReleaseHold(*graph.Node) {
+	v := (*version)(h)
+	v.nreaders.Add(-1)
+	v.release()
+}
+
+// ReleaseHold records what later analyses need of the completed writer
+// n, then clears the pointer to it: an analysis that still loads the
+// pointer finds n Done and asks n.
+func (h *producerHold) ReleaseHold(n *graph.Node) {
+	v := (*version)(h)
+	v.executedBy = int32(n.ExecutedBy())
+	v.poisoned = n.Poisoned()
+	v.producer.Store(nil)
+	v.release()
+}
+
+// release drops one task's reference; the last reference of a retired
+// version kills it.
+func (v *version) release() {
 	if v.refs.Add(-1) == 0 && v.retired.Load() {
-		v.reclaim(p)
+		v.die()
 	}
 }
 
 // retire marks the version no longer current and drops the
 // current-version reference.  Each version is retired exactly once —
 // when superseded by a write, synced back, or forgotten.
-func (v *version) retire(p *Pool) {
+func (v *version) retire() {
 	if v.retired.Swap(true) {
 		panic("deps: version retired twice")
 	}
 	if v.refs.Add(-1) == 0 {
-		v.reclaim(p)
+		v.die()
 	}
 }
 
-func (v *version) reclaim(p *Pool) {
-	if !v.owned || v.reclaimed.Swap(true) {
-		return
+// die runs exactly once per retired version, on whichever thread drops
+// its last reference — the current-version reference is dropped after
+// retired is set, so refs cannot read zero earlier.  Nothing can reach
+// the version any more: owned storage returns to the pool and the
+// version, emptied so it pins no data, to the free list.
+func (v *version) die() {
+	sh := v.sh
+	if v.owned {
+		sh.pool.release(v.instance, v.bytes)
 	}
-	p.release(v.instance, v.bytes)
+	clear(v.readers)
+	*v = version{sh: sh, readers: v.readers[:0]}
+	sh.versions.Put(v)
 }
 
 // regionAccess is one entry in the access history of a region-tracked
@@ -186,7 +254,7 @@ func (v *version) reclaim(p *Pool) {
 type regionAccess struct {
 	region Region
 	mode   Mode
-	task   *graph.Node
+	task   graph.Ref
 }
 
 // object is the tracker's record for one base address.
@@ -271,7 +339,11 @@ type shard struct {
 	mu      sync.Mutex
 	objects map[uintptr]*object
 	stats   Stats
-	_       [64]byte
+	// versions recycles the dead versions of the stripe's objects: Get
+	// under mu, Put from whichever thread drops a last reference.
+	versions FreeList[version]
+	pool     *Pool // the tracker's
+	_        [64]byte
 }
 
 // MaxShards caps the shard count so the batched-analysis lock set fits in
@@ -334,6 +406,7 @@ func NewTrackerShards(g *graph.Graph, n int) *Tracker {
 	t := &Tracker{g: g, shards: make([]shard, n), shift: uint(64 - bits.Len(uint(n-1)))}
 	for i := range t.shards {
 		t.shards[i].objects = make(map[uintptr]*object)
+		t.shards[i].pool = &t.pool
 	}
 	return t
 }
@@ -389,10 +462,10 @@ func (t *Tracker) LiveRenamedBytes() int64 { return t.pool.LiveBytes() }
 // memory-limit waiter's wakeup.  Must be called before any access.
 func (t *Tracker) SetReclaimHook(f func()) { t.pool.SetReclaimHook(f) }
 
-func (sh *shard) lookup(a Access) *object {
+func (sh *shard) lookup(a *Access) *object {
 	obj := sh.objects[a.Key]
 	if obj == nil {
-		obj = &object{key: a.Key, cur: newVersion(nil, a.Data), original: a.Data}
+		obj = &object{key: a.Key, cur: sh.newVersion(nil, a.Data), original: a.Data}
 		sh.objects[a.Key] = obj
 		sh.stats.Objects++
 	}
@@ -402,46 +475,12 @@ func (sh *shard) lookup(a Access) *object {
 	return obj
 }
 
-// versionHold is one reference a task holds on a version until it
-// completes: a live-reader hold (counted in nreaders too) or a plain
-// lifetime hold (pending producer, renamed-inout copy source).  The
-// holds of one task are released together by a single completion
-// observer, so the hot submission path pays one closure and one
-// observer registration per task instead of one per access.
-type versionHold struct {
-	v      *version
-	reader bool
-}
-
-// registerHolds attaches the task's accumulated version holds to its
-// completion.  Called after the shard locks are released; the node
-// cannot complete before Seal, which the submitter calls later.
-func (t *Tracker) registerHolds(node *graph.Node, holds []versionHold) {
-	if len(holds) == 0 {
-		return
-	}
-	p := &t.pool
-	node.OnComplete(func() {
-		for _, h := range holds {
-			if h.reader {
-				h.v.nreaders.Add(-1)
-			}
-			h.v.release(p)
-		}
-	})
-}
-
 // Analyze resolves one parameter access for task node, adding the
 // dependency edges it implies.  It must be called after graph.AddNode and
 // before graph.Seal for the node.
 func (t *Tracker) Analyze(node *graph.Node, a Access) Resolution {
-	var holds []versionHold
-	sh := t.shardOf(a.Key)
-	sh.mu.Lock()
-	res := t.analyzeLocked(sh, node, a, &holds)
-	sh.mu.Unlock()
-	t.registerHolds(node, holds)
-	return res
+	var out [1]Resolution
+	return t.AnalyzeBatch(node, []Access{a}, out[:0])[0]
 }
 
 // AnalyzeBatch resolves every access of one task in submission order,
@@ -449,7 +488,9 @@ func (t *Tracker) Analyze(node *graph.Node, a Access) Resolution {
 // up front in ascending index order (the canonical order that makes
 // concurrent cross-shard batches deadlock-free), the accesses analyzed,
 // and the shards released.  Results are appended to out and returned;
-// callers reuse out across batches to avoid per-task allocation.
+// callers reuse out across batches to avoid per-task allocation.  The
+// version references the task acquires become holds on node, which
+// cannot complete before the Seal the caller issues afterwards.
 func (t *Tracker) AnalyzeBatch(node *graph.Node, accs []Access, out []Resolution) []Resolution {
 	if len(accs) == 0 {
 		return out
@@ -462,21 +503,17 @@ func (t *Tracker) AnalyzeBatch(node *graph.Node, accs []Access, out []Resolution
 	for m := mask; m != 0; m &= m - 1 {
 		t.shards[bits.TrailingZeros64(m)].mu.Lock()
 	}
-	var holds []versionHold
 	for i := range accs {
-		out = append(out, t.analyzeLocked(t.shardOf(accs[i].Key), node, accs[i], &holds))
+		out = append(out, t.analyzeLocked(t.shardOf(accs[i].Key), node, &accs[i]))
 	}
 	for m := mask; m != 0; m &= m - 1 {
 		t.shards[bits.TrailingZeros64(m)].mu.Unlock()
 	}
-	t.registerHolds(node, holds)
 	return out
 }
 
-// analyzeLocked dispatches one access; the caller holds sh.mu.  holds
-// accumulates the version references the node acquires, registered as
-// one completion observer by the caller after the locks are released.
-func (t *Tracker) analyzeLocked(sh *shard, node *graph.Node, a Access, holds *[]versionHold) Resolution {
+// analyzeLocked dispatches one access; the caller holds sh.mu.
+func (t *Tracker) analyzeLocked(sh *shard, node *graph.Node, a *Access) Resolution {
 	obj := sh.lookup(a)
 	if obj.regioned || !a.Region.IsFull() {
 		return t.analyzeRegion(sh, node, obj, a)
@@ -494,11 +531,11 @@ func (t *Tracker) analyzeLocked(sh *shard, node *graph.Node, a Access, holds *[]
 	}
 	switch a.Mode {
 	case ModeIn:
-		return t.analyzeIn(sh, node, obj, holds)
+		return t.analyzeIn(sh, node, obj)
 	case ModeOut:
-		return t.analyzeOut(sh, node, obj, a, holds)
+		return t.analyzeOut(sh, node, obj, a)
 	case ModeInOut:
-		return t.analyzeInOut(sh, node, obj, a, holds)
+		return t.analyzeInOut(sh, node, obj, a)
 	}
 	panic("deps: invalid access mode")
 }
@@ -509,36 +546,45 @@ func (t *Tracker) analyzeLocked(sh *shard, node *graph.Node, a Access, holds *[]
 // producer are released by its completion and placed by releasedBy
 // instead.
 func (t *Tracker) hintAffinity(node *graph.Node, v *version) {
-	if !t.AffinityHints || v.producer == nil || !v.producer.Done() {
+	if !t.AffinityHints || !v.written {
 		return
 	}
-	node.SetAffinity(v.producer.ExecutedBy())
+	if p := v.producer.Load(); p == nil {
+		node.SetAffinity(int(v.executedBy))
+	} else if p.Done() {
+		node.SetAffinity(p.ExecutedBy())
+	}
 }
 
 // trueDep accounts one read-after-write dependency of node on the
-// producer of v (nil-producer versions are pre-existing data).  The
+// producer of v (unwritten versions are pre-existing data).  The
 // physical edge is added only while the producer is pending; the
 // counter increments either way, keeping Stats.TrueEdges deterministic
-// at any worker count.  Callers hold the shard lock.
+// at any worker count.  So does the taint of a poisoned producer travel
+// either way: along the edge, or — once the producer completed — from
+// what its completion recorded in the version (AddEdge covers a
+// producer that completes in between).  Callers hold the shard lock.
 func (t *Tracker) trueDep(sh *shard, node *graph.Node, v *version) {
-	if v.producer == nil {
+	if !v.written {
 		return
 	}
 	sh.stats.TrueEdges++
-	if v.producerPending() {
-		t.g.AddEdge(v.producer, node)
+	if p := v.producer.Load(); p != nil {
+		t.g.AddEdge(p, node)
+	} else if v.poisoned {
+		node.MarkPoisoned()
 	}
 }
 
-func (t *Tracker) analyzeIn(sh *shard, node *graph.Node, obj *object, holds *[]versionHold) Resolution {
+func (t *Tracker) analyzeIn(sh *shard, node *graph.Node, obj *object) Resolution {
 	v := obj.cur
 	t.trueDep(sh, node, v)
 	t.hintAffinity(node, v)
 	v.pruneReaders()
-	v.readers = append(v.readers, node)
+	v.readers = append(v.readers, node.Ref())
 	v.nreaders.Add(1)
 	v.refs.Add(1)
-	*holds = append(*holds, versionHold{v: v, reader: true})
+	node.AddHold((*readerHold)(v))
 	return Resolution{Instance: v.instance}
 }
 
@@ -555,10 +601,12 @@ func (t *Tracker) supersede(obj *object, v, nv *version, renamed bool, bytes int
 		v.owned = false
 	}
 	obj.cur = nv
-	v.retire(&t.pool)
+	v.retire()
 }
 
-func (t *Tracker) analyzeOut(sh *shard, node *graph.Node, obj *object, a Access, holds *[]versionHold) Resolution {
+// analyzeOut never reads the previous version, so the new one starts
+// clean whatever that version's producer did.
+func (t *Tracker) analyzeOut(sh *shard, node *graph.Node, obj *object, a *Access) Resolution {
 	v := obj.cur
 	hazard := v.producerPending() || v.nreaders.Load() > 0
 	res := Resolution{Instance: v.instance}
@@ -566,22 +614,13 @@ func (t *Tracker) analyzeOut(sh *shard, node *graph.Node, obj *object, a Access,
 	renamed := false
 	if hazard {
 		if t.DisableRenaming {
-			// Ablation path: materialize the false dependencies.
-			if v.producerPending() {
-				t.g.AddEdge(v.producer, node) // WAW
-				sh.stats.FalseEdges++
-			}
-			v.pruneReaders()
-			for _, r := range v.readers {
-				t.g.AddEdge(r, node) // WAR
-				sh.stats.FalseEdges++
-			}
+			t.falseEdges(sh, node, v, true)
 		} else {
-			res.Instance, bytes = t.pool.acquire(&a)
+			res.Instance, bytes = t.pool.acquire(a)
 			res.Renamed, renamed = true, true
 			sh.stats.Renames++
 		}
-	} else if !t.DisableRenaming && v.producer != nil {
+	} else if !t.DisableRenaming && v.written {
 		// Dead WAW: the previous version was task-written, but its
 		// producer has completed and every reader drained, so the
 		// overwrite proceeds in place — no rename, no fresh storage.
@@ -595,13 +634,26 @@ func (t *Tracker) analyzeOut(sh *shard, node *graph.Node, obj *object, a Access,
 		// reads the hinted worker's hot data).
 		t.hintAffinity(node, v)
 	}
-	nv := newVersion(node, res.Instance)
-	*holds = append(*holds, versionHold{v: nv})
-	t.supersede(obj, v, nv, renamed, bytes)
+	t.supersede(obj, v, sh.newVersion(node, res.Instance), renamed, bytes)
 	return res
 }
 
-func (t *Tracker) analyzeInOut(sh *shard, node *graph.Node, obj *object, a Access, holds *[]versionHold) Resolution {
+// falseEdges materializes the hazards of a write over v as edges (the
+// DisableRenaming ablation): WAR from every live reader and, when the
+// write does not read v, WAW from a pending producer.
+func (t *Tracker) falseEdges(sh *shard, node *graph.Node, v *version, waw bool) {
+	if p := v.pendingProducer(); waw && p != nil {
+		t.g.AddEdge(p, node)
+		sh.stats.FalseEdges++
+	}
+	v.pruneReaders()
+	for _, r := range v.readers {
+		t.g.AddEdge(r.Node(), node)
+		sh.stats.FalseEdges++
+	}
+}
+
+func (t *Tracker) analyzeInOut(sh *shard, node *graph.Node, obj *object, a *Access) Resolution {
 	v := obj.cur
 	res := Resolution{Instance: v.instance}
 	t.trueDep(sh, node, v) // RAW: the task reads the old value
@@ -610,35 +662,29 @@ func (t *Tracker) analyzeInOut(sh *shard, node *graph.Node, obj *object, a Acces
 	renamed := false
 	if v.nreaders.Load() > 0 {
 		if t.DisableRenaming {
-			v.pruneReaders()
-			for _, r := range v.readers {
-				t.g.AddEdge(r, node) // WAR
-				sh.stats.FalseEdges++
-			}
+			t.falseEdges(sh, node, v, false)
 		} else {
 			// Rename: write into acquired storage seeded from the
 			// previous version.  The RAW edge above guarantees the
 			// source is complete when the copy runs; the extra
 			// reference below guarantees the pool does not recycle the
 			// source instance before the copy has happened.
-			res.Instance, bytes = t.pool.acquire(&a)
+			res.Instance, bytes = t.pool.acquire(a)
 			res.CopyFrom = v.instance
 			res.Copy = a.Copy
 			res.Renamed, renamed = true, true
 			v.refs.Add(1)
-			*holds = append(*holds, versionHold{v: v})
+			node.AddHold((*sourceHold)(v))
 			sh.stats.Renames++
 			sh.stats.RenameCopies++
 		}
-	} else if !t.DisableRenaming && v.producer != nil && !v.producerPending() {
+	} else if !t.DisableRenaming && v.written && !v.producerPending() {
 		// Dead WAR/WAW: every reader of the task-written previous
 		// version drained and its producer completed — update in place,
 		// skipping both the rename and the inout seed copy.
 		sh.stats.RenamesElided++
 	}
-	nv := newVersion(node, res.Instance)
-	*holds = append(*holds, versionHold{v: nv})
-	t.supersede(obj, v, nv, renamed, bytes)
+	t.supersede(obj, v, sh.newVersion(node, res.Instance), renamed, bytes)
 	return res
 }
 
@@ -649,29 +695,22 @@ func (t *Tracker) analyzeInLegacy(sh *shard, node *graph.Node, obj *object) Reso
 	t.trueDep(sh, node, v)
 	t.hintAffinity(node, v)
 	v.pruneReaders()
-	v.readers = append(v.readers, node)
+	v.readers = append(v.readers, node.Ref())
 	return Resolution{Instance: v.instance}
 }
 
 // analyzeOutLegacy is the seed runtime's output path: a fresh Alloc()
 // per rename, superseded versions left to the garbage collector.
-func (t *Tracker) analyzeOutLegacy(sh *shard, node *graph.Node, obj *object, a Access) Resolution {
+func (t *Tracker) analyzeOutLegacy(sh *shard, node *graph.Node, obj *object, a *Access) Resolution {
 	v := obj.cur
 	v.pruneReaders()
 	hazard := v.producerPending() || len(v.readers) > 0
 	res := Resolution{Instance: v.instance}
 	if hazard {
 		if t.DisableRenaming {
-			if v.producerPending() {
-				t.g.AddEdge(v.producer, node) // WAW
-				sh.stats.FalseEdges++
-			}
-			for _, r := range v.readers {
-				t.g.AddEdge(r, node) // WAR
-				sh.stats.FalseEdges++
-			}
+			t.falseEdges(sh, node, v, true)
 		} else {
-			res.Instance = a.Alloc()
+			res.Instance = a.alloc()
 			res.Renamed = true
 			obj.diverged = true
 			sh.stats.Renames++
@@ -680,12 +719,12 @@ func (t *Tracker) analyzeOutLegacy(sh *shard, node *graph.Node, obj *object, a A
 	if !res.Renamed {
 		t.hintAffinity(node, v) // in-place write only; see analyzeOut
 	}
-	obj.cur = newVersion(node, res.Instance)
+	obj.cur = sh.newVersion(node, res.Instance)
 	return res
 }
 
 // analyzeInOutLegacy is the seed runtime's inout path.
-func (t *Tracker) analyzeInOutLegacy(sh *shard, node *graph.Node, obj *object, a Access) Resolution {
+func (t *Tracker) analyzeInOutLegacy(sh *shard, node *graph.Node, obj *object, a *Access) Resolution {
 	v := obj.cur
 	v.pruneReaders()
 	res := Resolution{Instance: v.instance}
@@ -693,12 +732,9 @@ func (t *Tracker) analyzeInOutLegacy(sh *shard, node *graph.Node, obj *object, a
 	t.hintAffinity(node, v)
 	if len(v.readers) > 0 {
 		if t.DisableRenaming {
-			for _, r := range v.readers {
-				t.g.AddEdge(r, node) // WAR
-				sh.stats.FalseEdges++
-			}
+			t.falseEdges(sh, node, v, false)
 		} else {
-			res.Instance = a.Alloc()
+			res.Instance = a.alloc()
 			res.CopyFrom = v.instance
 			res.Copy = a.Copy
 			res.Renamed = true
@@ -707,14 +743,14 @@ func (t *Tracker) analyzeInOutLegacy(sh *shard, node *graph.Node, obj *object, a
 			sh.stats.RenameCopies++
 		}
 	}
-	obj.cur = newVersion(node, res.Instance)
+	obj.cur = sh.newVersion(node, res.Instance)
 	return res
 }
 
 // analyzeRegion handles accesses on region-tracked objects: every
 // overlapping, still-incomplete earlier access where at least one side
 // writes becomes an edge.
-func (t *Tracker) analyzeRegion(sh *shard, node *graph.Node, obj *object, a Access) Resolution {
+func (t *Tracker) analyzeRegion(sh *shard, node *graph.Node, obj *object, a *Access) Resolution {
 	if !obj.regioned {
 		t.flipToRegioned(sh, obj)
 	}
@@ -730,14 +766,15 @@ func (t *Tracker) analyzeRegion(sh *shard, node *graph.Node, obj *object, a Acce
 		if !a.Mode.Writes() && !h.mode.Writes() {
 			continue // read-read never orders
 		}
-		t.g.AddEdge(h.task, node)
+		t.g.AddEdge(h.task.Node(), node)
 		if a.Mode.Reads() && h.mode.Writes() {
 			sh.stats.TrueEdges++
 		} else {
 			sh.stats.FalseEdges++
 		}
 	}
-	obj.hist = append(live, regionAccess{region: a.Region, mode: a.Mode, task: node})
+	clear(obj.hist[len(live):])
+	obj.hist = append(live, regionAccess{region: a.Region, mode: a.Mode, task: node.Ref()})
 	return Resolution{Instance: obj.cur.instance}
 }
 
@@ -747,14 +784,15 @@ func (t *Tracker) flipToRegioned(sh *shard, obj *object) {
 	obj.regioned = true
 	sh.stats.RegionObjects++
 	v := obj.cur
-	if v.producerPending() {
-		obj.hist = append(obj.hist, regionAccess{region: Full, mode: ModeOut, task: v.producer})
+	if p := v.pendingProducer(); p != nil {
+		obj.hist = append(obj.hist, regionAccess{region: Full, mode: ModeOut, task: p.Ref()})
 	}
 	v.pruneReaders()
 	for _, r := range v.readers {
 		obj.hist = append(obj.hist, regionAccess{region: Full, mode: ModeIn, task: r})
 	}
-	v.readers = nil
+	clear(v.readers)
+	v.readers = v.readers[:0]
 	// Region mode keeps no per-access reference counts (renaming of
 	// partial objects is out of scope, exactly as in the 2008 runtime),
 	// so a diverged current version's storage cannot be recycled safely:
@@ -782,13 +820,13 @@ func (t *Tracker) PendingWriters(key uintptr, r Region) []*graph.Node {
 	if obj.regioned {
 		for _, h := range obj.hist {
 			if h.mode.Writes() && !h.task.Done() && h.region.Overlaps(r) {
-				out = append(out, h.task)
+				out = append(out, h.task.Node())
 			}
 		}
 		return out
 	}
-	if obj.cur.producerPending() {
-		out = append(out, obj.cur.producer)
+	if p := obj.cur.pendingProducer(); p != nil {
+		out = append(out, p)
 	}
 	return out
 }
@@ -821,7 +859,7 @@ func (t *Tracker) SyncObject(key uintptr) bool {
 	if obj == nil {
 		return false
 	}
-	return t.syncLocked(obj)
+	return t.syncLocked(sh, obj)
 }
 
 // SyncAll applies SyncObject to every tracked object and returns the
@@ -861,7 +899,7 @@ func (t *Tracker) SyncAll() int {
 			}
 			old := obj.cur
 			work = append(work, syncWork{dst: obj.original, src: old.instance, copier: obj.copier, old: old})
-			obj.cur = newVersion(nil, obj.original)
+			obj.cur = sh.newVersion(nil, obj.original)
 			obj.diverged = false
 		}
 		sh.mu.Unlock()
@@ -869,13 +907,13 @@ func (t *Tracker) SyncAll() int {
 	for _, w := range work {
 		w.copier(w.dst, w.src)
 		if !t.LegacyRenaming {
-			w.old.retire(&t.pool)
+			w.old.retire()
 		}
 	}
 	return len(work)
 }
 
-func (t *Tracker) syncLocked(obj *object) bool {
+func (t *Tracker) syncLocked(sh *shard, obj *object) bool {
 	if !obj.diverged {
 		return false
 	}
@@ -887,13 +925,13 @@ func (t *Tracker) syncLocked(obj *object) bool {
 	}
 	obj.copier(obj.original, obj.cur.instance)
 	old := obj.cur
-	obj.cur = newVersion(nil, obj.original)
+	obj.cur = sh.newVersion(nil, obj.original)
 	obj.diverged = false
 	if !t.LegacyRenaming {
 		// Any late readers of the superseded renamed instance still
 		// hold references; the pool gets the instance back only when
 		// the last of them completes.
-		old.retire(&t.pool)
+		old.retire()
 	}
 	return true
 }
@@ -920,6 +958,6 @@ func (t *Tracker) Forget(key uintptr) {
 		return
 	}
 	if !t.LegacyRenaming {
-		obj.cur.retire(&t.pool)
+		obj.cur.retire()
 	}
 }

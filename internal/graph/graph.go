@@ -9,10 +9,11 @@
 // that tag to place the task on the releasing worker's own ready list,
 // which is how SMPSs exploits data locality (paper §III).
 //
-// The graph retains completed nodes only while a Recorder is attached
-// (used to reproduce Fig. 5 of the paper); in normal operation nodes are
-// dropped as soon as they complete so arbitrarily long programs run in
-// bounded memory.
+// The graph keeps no reference to a completed node, so arbitrarily long
+// programs run in bounded memory; a Recorder (used to reproduce Fig. 5
+// of the paper) copies what it exports.  Node storage belongs to the
+// caller: AddNode allocates one, Init starts a new life in storage the
+// caller recycles (see Ref for the rule stale pointers follow).
 package graph
 
 import (
@@ -104,13 +105,47 @@ type Node struct {
 
 	mu    sync.Mutex
 	succs []*Node
-	// hooks are the completion observers registered with OnComplete,
-	// fired exactly once by Complete.
-	hooks []func()
+	// holds are the references registered with AddHold, released exactly
+	// once by Complete.
+	holds []Holder
 	// npred is the total number of incoming true-dependency edges ever
 	// added (for statistics and DOT export of in-degree).
-	npred int32
+	npred atomic.Int32
 }
+
+// Holder is a reference a task keeps on something until it completes:
+// the dependency tracker's holds on data versions.  ReleaseHold drops
+// the reference n registered with AddHold.  It runs on the completing
+// worker's goroutine, after n's successors were released, and must not
+// block.
+type Holder interface {
+	ReleaseHold(n *Node)
+}
+
+// Ref is a reference to one life of a node whose storage may be started
+// over with Init once that life has completed: the node's ID, unique per
+// graph, is the generation.  Whoever keeps a node pointer past the
+// node's completion without a way to learn of it — the tracker's reader
+// lists and region history, pruned lazily — keeps a Ref and asks Done
+// before every dereference.  A Ref must be tested on the thread that
+// calls Init for the storage, which is what keeps the answer true until
+// that thread has used it.
+type Ref struct {
+	n  *Node
+	id int64
+}
+
+// Ref returns a reference to the node's current life.
+func (n *Node) Ref() Ref { return Ref{n: n, id: n.ID} }
+
+// Node returns the referenced node; meaningful only while Done is false.
+func (r Ref) Node() *Node { return r.n }
+
+// Done reports whether the referenced life has completed: the state is
+// Done, or the storage already carries a later life.  The state is
+// loaded first; Init stores the new ID before the new state, so a state
+// that is not Done belongs to the ID read after it.
+func (r Ref) Done() bool { return r.n.Done() || r.n.ID != r.id }
 
 // State returns the node's current lifecycle state.
 func (n *Node) State() NodeState { return NodeState(n.state.Load()) }
@@ -119,7 +154,7 @@ func (n *Node) State() NodeState { return NodeState(n.state.Load()) }
 func (n *Node) Done() bool { return n.State() == StateDone }
 
 // NumPredecessors returns the number of true-dependency edges into the node.
-func (n *Node) NumPredecessors() int { return int(atomic.LoadInt32(&n.npred)) }
+func (n *Node) NumPredecessors() int { return int(n.npred.Load()) }
 
 // ExecutedBy returns the worker identity that completed the task, or
 // MainThread if the task has not completed.  Meaningful only after
@@ -148,23 +183,23 @@ func (n *Node) MarkPoisoned() { n.poisoned.Store(true) }
 // the completion of a poisoned predecessor.
 func (n *Node) Poisoned() bool { return n.poisoned.Load() }
 
-// OnComplete registers a completion observer: f runs exactly once, after
-// the node transitions to Done and its successors have been released.
-// The dependency tracker uses observers to count down version reference
-// counts the moment a consumer finishes, instead of rediscovering
-// completions with shard-wide Done() scans.  If the node has already
-// completed, f runs immediately on the calling goroutine.  Observers run
-// on the completing worker's goroutine and must not block.
-func (n *Node) OnComplete(f func()) {
-	n.mu.Lock()
-	if n.Done() {
-		n.mu.Unlock()
-		f()
-		return
-	}
-	n.hooks = append(n.hooks, f)
-	n.mu.Unlock()
+// Reserve gives a zero node room for its first successors and holds in
+// storage the caller owns — arrays allocated beside the node — so a task
+// with few of either allocates nothing for them.  A list that outgrows
+// its room spills to the heap; either way the node keeps what backs its
+// lists across Init.
+func (n *Node) Reserve(succs []*Node, holds []Holder) {
+	n.succs, n.holds = succs[:0], holds[:0]
 }
+
+// AddHold registers a reference the node keeps until it completes:
+// Complete calls h.ReleaseHold(n) exactly once, after the node's
+// successors have been released.  The dependency tracker uses holds to
+// count down version reference counts the moment a consumer finishes,
+// instead of rediscovering completions with shard-wide Done() scans.
+// The node must still be in the Building state, on the thread building
+// it.
+func (n *Node) AddHold(h Holder) { n.holds = append(n.holds, h) }
 
 // Graph is a dynamic task dependency graph.
 //
@@ -207,14 +242,27 @@ func (g *Graph) Edges() int64 { return g.edges.Load() }
 // AddNode creates a node in the Building state.  The caller must add all
 // edges with AddEdge and then call Seal exactly once.
 func (g *Graph) AddNode(kind int, label string, priority bool, payload any) *Node {
-	n := &Node{
-		ID:       g.nextID.Add(1),
-		Kind:     kind,
-		Label:    label,
-		Priority: priority,
-		Payload:  payload,
-	}
+	n := new(Node)
+	g.Init(n, kind, label, priority, payload)
+	return n
+}
+
+// Init is AddNode in storage the caller owns: a zero Node, or one whose
+// previous life in this graph has completed and which nothing
+// dereferences any more except through a Ref.  The node must not be
+// copied afterwards.
+func (g *Graph) Init(n *Node, kind int, label string, priority bool, payload any) {
+	n.ID = g.nextID.Add(1)
+	n.Kind = kind
+	n.Label = label
+	n.Priority = priority
+	n.Payload = payload
+	n.executedBy, n.affinity = 0, 0
+	n.npred.Store(0)
+	n.poisoned.Store(false)
 	n.pending.Store(1) // construction hold
+	// Last, after the ID: see Ref.Done.
+	n.state.Store(int32(StateBuilding))
 	g.open.Add(1)
 	g.added.Add(1)
 	g.recMu.Lock()
@@ -222,12 +270,13 @@ func (g *Graph) AddNode(kind int, label string, priority bool, payload any) *Nod
 		g.rec.addNode(n)
 	}
 	g.recMu.Unlock()
-	return n
 }
 
 // AddEdge records a true dependency from → to: "to" may not start until
-// "from" completes.  If "from" has already completed the edge is a no-op
-// (beyond statistics).  "to" must still be in the Building state.
+// "from" completes.  If "from" has already completed no edge is added,
+// but "to" still inherits its taint: a dependent analyzed after a failed
+// task finished is as poisoned as one analyzed before.  "to" must still
+// be in the Building state.
 func (g *Graph) AddEdge(from, to *Node) {
 	if from == to {
 		return
@@ -240,6 +289,11 @@ func (g *Graph) AddEdge(from, to *Node) {
 	to.pending.Add(1)
 	from.mu.Lock()
 	if from.Done() {
+		// poisoned is final once Done is stored, and "from" cannot start
+		// a new life under its own lock.
+		if from.poisoned.Load() {
+			to.poisoned.Store(true)
+		}
 		from.mu.Unlock()
 		to.pending.Add(-1)
 		return
@@ -247,7 +301,7 @@ func (g *Graph) AddEdge(from, to *Node) {
 	from.succs = append(from.succs, to)
 	from.mu.Unlock()
 
-	atomic.AddInt32(&to.npred, 1)
+	to.npred.Add(1)
 	g.edges.Add(1)
 
 	g.recMu.Lock()
@@ -301,10 +355,10 @@ func (g *Graph) complete(n *Node, worker int, chain bool) *Node {
 	n.executedBy = int32(worker) + 1
 	n.mu.Lock()
 	n.state.Store(int32(StateDone))
-	succs := n.succs
-	hooks := n.hooks
-	n.succs, n.hooks = nil, nil
 	n.mu.Unlock()
+	// Done, stored under the lock, closed the successor list: AddEdge
+	// appends nothing any more, so it is read without the lock.
+	succs := n.succs
 
 	// kept is the candidate for inline chaining: the first non-priority
 	// successor this completion released, withheld from the readiness
@@ -337,11 +391,15 @@ func (g *Graph) complete(n *Node, worker int, chain bool) *Node {
 	if kept != nil {
 		kept.state.Store(int32(StateReady))
 	}
-	// Observers fire after successors are released: dependents launch
+	clear(succs)
+	n.succs = succs[:0]
+	// Holds drop after successors are released: dependents launch
 	// first, memory bookkeeping second.
-	for _, f := range hooks {
-		f()
+	for _, h := range n.holds {
+		h.ReleaseHold(n)
 	}
+	clear(n.holds)
+	n.holds = n.holds[:0]
 	n.Payload = nil
 	g.open.Add(-1)
 	return kept

@@ -320,47 +320,125 @@ func TestMarkRunning(t *testing.T) {
 	}
 }
 
-func TestOnCompleteFiresOnce(t *testing.T) {
-	g, _ := collectReady()
-	n := g.AddNode(0, "t", false, nil)
-	g.Seal(n)
-	var fired atomic.Int32
-	n.OnComplete(func() { fired.Add(1) })
-	n.OnComplete(func() { fired.Add(1) })
-	if fired.Load() != 0 {
-		t.Fatalf("observer fired before completion")
-	}
-	g.Complete(n, 0)
-	if fired.Load() != 2 {
-		t.Fatalf("observers fired %d times, want 2", fired.Load())
+// holdLog records what Complete released; each hold on it is a testHold
+// carrying its tag.
+type holdLog struct {
+	tags  []int
+	check func()
+}
+
+type testHold struct {
+	log *holdLog
+	tag int
+}
+
+func (h *testHold) ReleaseHold(n *Node) {
+	h.log.tags = append(h.log.tags, h.tag)
+	if h.log.check != nil {
+		h.log.check()
 	}
 }
 
-func TestOnCompleteAfterDoneRunsImmediately(t *testing.T) {
-	g, _ := collectReady()
-	n := g.AddNode(0, "t", false, nil)
-	g.Seal(n)
-	g.Complete(n, 0)
-	fired := false
-	n.OnComplete(func() { fired = true })
-	if !fired {
-		t.Fatalf("observer on a done node must run immediately")
-	}
-}
-
-func TestOnCompleteRunsAfterSuccessorRelease(t *testing.T) {
-	// Observers fire after successors are released, so a completion
-	// hook observes the dependent already made ready.
+func TestHoldsReleasedOnceAfterSuccessors(t *testing.T) {
 	g, log := collectReady()
 	a := g.AddNode(0, "a", false, nil)
-	g.Seal(a)
 	b := g.AddNode(0, "b", false, nil)
+	h := &holdLog{}
+	// Holds drop after successors are released, so a release observes
+	// the dependent already made ready.
+	sawReady := false
+	h.check = func() { sawReady = log.has(b.ID) }
+	// More holds than the node stores inline.
+	for k := 0; k < 5; k++ {
+		a.AddHold(&testHold{log: h, tag: k})
+	}
+	g.Seal(a)
 	g.AddEdge(a, b)
 	g.Seal(b)
-	sawReady := false
-	a.OnComplete(func() { sawReady = log.has(b.ID) })
+	if len(h.tags) != 0 {
+		t.Fatalf("hold released before completion")
+	}
 	g.Complete(a, 3)
+	if len(h.tags) != 5 || h.tags[0] != 0 || h.tags[4] != 4 {
+		t.Fatalf("released holds %v, want 0..4 once each", h.tags)
+	}
 	if !sawReady {
-		t.Fatalf("observer must run after successors are released")
+		t.Fatalf("holds must drop after successors are released")
+	}
+}
+
+// TestInitStartsNewLife: a node started over in the same storage gets a
+// fresh ID, sheds the previous life's state, keeps nothing registered
+// on it, and turns every Ref to the previous life Done.
+func TestInitStartsNewLife(t *testing.T) {
+	g, log := collectReady()
+	var n Node
+	var succ0 [1]*Node
+	var hold0 [1]Holder
+	n.Reserve(succ0[:], hold0[:])
+	h := &holdLog{}
+	g.Init(&n, 1, "first", false, nil)
+	first := n.Ref()
+	succ := g.AddNode(0, "s", false, nil)
+	g.AddEdge(&n, succ)
+	g.Seal(succ)
+	n.AddHold(&testHold{log: h, tag: 7})
+	if succ0[0] != succ || hold0[0] == nil {
+		t.Fatalf("reserved room unused: succ %v hold %v", succ0[0], hold0[0])
+	}
+	n.MarkPoisoned()
+	n.SetAffinity(2)
+	g.Seal(&n)
+	if first.Done() {
+		t.Fatalf("Ref done while its life is open")
+	}
+	g.Complete(&n, 4)
+	if !first.Done() || len(h.tags) != 1 {
+		t.Fatalf("after Complete: done %v, releases %v", first.Done(), h.tags)
+	}
+	if succ0[0] != nil || hold0[0] != nil {
+		t.Fatalf("a completed node still references its successor or hold")
+	}
+
+	g.Init(&n, 2, "second", true, nil)
+	second := n.Ref()
+	if n.ID == first.id || n.State() != StateBuilding || n.Poisoned() ||
+		n.Affinity() != -1 || n.NumPredecessors() != 0 || n.Label != "second" || !n.Priority {
+		t.Fatalf("second life carries state of the first: %+v", &n)
+	}
+	if !first.Done() || second.Done() {
+		t.Fatalf("Ref.Done: first %v (want true), second %v (want false)", first.Done(), second.Done())
+	}
+	g.Seal(&n)
+	g.Complete(&n, 0)
+	if len(h.tags) != 1 {
+		t.Fatalf("first life's hold released again: %v", h.tags)
+	}
+	if log.len() != 3 || g.Open() != 1 {
+		t.Fatalf("ready events %d (want 3), open %d (want 1: succ)", log.len(), g.Open())
+	}
+}
+
+// TestAddEdgeFromDonePoisonedTaints: a dependent analyzed after a
+// poisoned task completed inherits the taint although no edge is added.
+func TestAddEdgeFromDonePoisonedTaints(t *testing.T) {
+	g, _ := collectReady()
+	bad := g.AddNode(0, "bad", false, nil)
+	g.Seal(bad)
+	bad.MarkPoisoned()
+	g.Complete(bad, 0)
+	good := g.AddNode(0, "good", false, nil)
+	g.Seal(good)
+	g.Complete(good, 0)
+
+	dep := g.AddNode(0, "dep", false, nil)
+	g.AddEdge(good, dep)
+	if dep.Poisoned() {
+		t.Fatalf("edge from a clean done node tainted the dependent")
+	}
+	g.AddEdge(bad, dep)
+	if !dep.Poisoned() || dep.NumPredecessors() != 0 || g.Edges() != 0 {
+		t.Fatalf("poisoned %v preds %d edges %d, want tainted and no edge",
+			dep.Poisoned(), dep.NumPredecessors(), g.Edges())
 	}
 }

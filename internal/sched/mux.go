@@ -260,6 +260,9 @@ func (m *TokenMux) Detach(c *Client) { m.detach(c) }
 // dedicated workers the submitter is the only thread that can execute.
 func (m *TokenMux) Push(c *Client, n *graph.Node, releasedBy int) {
 	m.enqueue(c)
+	// Read before the policy has the node: from then on another worker
+	// may pop, run and complete it, and the runtime recycles its storage.
+	hint := n.Affinity()
 	wake := c.policy.Push(n, releasedBy)
 	if !wake && m.active.Load() > 1 {
 		// The policy elided the wake on the premise that the releasing
@@ -284,8 +287,8 @@ func (m *TokenMux) Push(c *Client, n *graph.Node, releasedBy int) {
 		// push's wake is never swallowed.  chaos.DropWake deliberately
 		// loses the targeted wake to prove the fallback really covers
 		// every push.
-		if h := n.Affinity(); h < 0 || h >= len(m.inIdle) ||
-			!m.inIdle[h].Load() || chaos.DropWake(h) || !m.wakeIdle(h) {
+		if hint < 0 || hint >= len(m.inIdle) ||
+			!m.inIdle[hint].Load() || chaos.DropWake(hint) || !m.wakeIdle(hint) {
 			m.unparkOne()
 		}
 		if c.waiting.Load() {

@@ -311,11 +311,10 @@ func (rt *Runtime) Submit(def *TaskDef, args ...Arg) {
 			continue
 		}
 		rt.tr.Analyze(node, deps.Access{
-			Key:   dataid.Key(a.data),
-			Mode:  a.mode,
-			Data:  a.data,
-			Alloc: dataid.AllocLike(a.data),
-			Copy:  dataid.CopyInto,
+			Key:  dataid.Key(a.data),
+			Mode: a.mode,
+			Data: a.data,
+			Copy: dataid.CopyInto,
 		})
 	}
 	rt.g.Seal(node)
