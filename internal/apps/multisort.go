@@ -451,16 +451,20 @@ func (s *smpssSorter) submitLeafMerge(src, dest []int64, lo1, hi1, lo2, hi2, dlo
 		// honest read-modify-write instead.
 		destArg = core.InOut(dest)
 	}
-	args := []core.Arg{
+	// An array with room for the optional argument, so that the list
+	// stays on the stack whichever way the test below goes.
+	args := [8]core.Arg{
 		core.InR(src, s.region(lo1, hi1)),
 		destArg,
 		core.Value(lo1), core.Value(hi1),
 		core.Value(lo2), core.Value(hi2),
 		core.Value(dlo),
 	}
+	nargs := 7
 	if hi2 >= lo2 {
 		// Second source region present.
-		args = append(args, core.InR(src, s.region(lo2, hi2)))
+		args[nargs] = core.InR(src, s.region(lo2, hi2))
+		nargs++
 	}
-	s.submit(s.seqmerge, args...)
+	s.submit(s.seqmerge, args[:nargs]...)
 }

@@ -57,8 +57,9 @@ type Arg struct {
 	kind   argKind
 	mode   deps.Mode
 	region deps.Region
-	data   any
-	value  any
+	// data is the tracked object of a data argument, the value of a Value
+	// or Opaque one.
+	data any
 }
 
 // In declares data the task only reads ("input" clause).  data must be a
@@ -92,13 +93,13 @@ func InOutR(data any, r Region) Arg {
 // Value passes v by value: it is copied at submission and never analyzed
 // for dependencies, like scalar parameters in the paper's examples
 // ("input(i, j)" on ints).
-func Value(v any) Arg { return Arg{kind: argValue, value: v} }
+func Value(v any) Arg { return Arg{kind: argValue, data: v} }
 
 // Opaque passes v without any dependency analysis, reproducing the
 // paper's "opaque pointers": parameters of type void* pass through the
 // runtime unaltered (§II).  Opaque arguments are the foundation of the
 // representant technique (§V.B).
-func Opaque(v any) Arg { return Arg{kind: argOpaque, value: v} }
+func Opaque(v any) Arg { return Arg{kind: argOpaque, data: v} }
 
 // dataKey returns the dependency-analysis identity of a data argument:
 // the base address of the slice's backing array, or the pointer value.

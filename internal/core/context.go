@@ -463,7 +463,7 @@ func (c *Context) submitOne(def *TaskDef, args []Arg) {
 		a := &args[i]
 		switch a.kind {
 		case argValue, argOpaque:
-			rec.args[i] = boundArg{kind: a.kind, instance: a.value}
+			rec.args[i] = boundArg{kind: a.kind, instance: a.data}
 		case argData:
 			accs = append(accs, deps.Access{
 				Key:    dataKey(a.data),
@@ -665,9 +665,12 @@ func (c *Context) WaitOn(data any) error { return c.WaitOnRegion(data, deps.Full
 // entire object.
 func (c *Context) WaitOnRegion(data any, r Region) error {
 	key := dataKey(data)
-	pending := func() bool { return len(c.tr.PendingWriters(key, r)) == 0 }
-	for !pending() {
-		c.helpOnce(pending)
+	if c.tr.WriterPending(key, r) {
+		// Built only when there is something to wait for: it escapes.
+		done := func() bool { return !c.tr.WriterPending(key, r) }
+		for !done() {
+			c.helpOnce(done)
+		}
 	}
 	if c.tr.SyncObject(key) {
 		c.syncCopies.Add(1)

@@ -88,6 +88,75 @@ func TestSubmitAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestRegionSubmitAllocatesNothing is TestSubmitAllocatesNothing for the
+// array-region path: regions are values, the region history files an
+// access in lists that earlier accesses grew, and a WaitOnRegion that
+// finds no pending writer builds nothing.  Each task has a leaf of its
+// own, as multisort's have, so no edge is added (in region mode a task
+// is ordered after every live overlapping access, and successor lists
+// are not what this test pins).  The warm-up goes over the leaves twice,
+// as the second access of a leaf may still find the first one's entry
+// and grow the list, and submits more tasks at once than the measurement
+// does, so the history has swept with more live entries than the
+// measured sweeps meet.
+func TestRegionSubmitAllocatesNothing(t *testing.T) {
+	const warm, runs, leaf = 128, 32, 16
+	src := make([]int64, warm*leaf)
+	dst := make([]int64, warm*leaf)
+	mat := make([]float32, warm*leaf)
+	var boxed any = src
+	cases := []struct {
+		name string
+		args func(lo int64) []Arg // the task of the leaf at lo
+	}{
+		{"inout", func(lo int64) []Arg { return []Arg{InOutR(src, Span(lo, leaf))} }},
+		{"in+in+out", func(lo int64) []Arg {
+			return []Arg{InR(src, Span(lo, leaf/2)), InR(src, Span(lo+leaf/2, leaf/2)), OutR(dst, Span(lo, leaf))}
+		}},
+		{"rect", func(lo int64) []Arg { return []Arg{InOutR(mat, Rect(lo/leaf, lo/leaf, 0, leaf-1))} }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := New(Config{Workers: 1})
+			defer rt.Close()
+			c := rt.Context()
+			var calls [warm][]Arg
+			for i := range calls {
+				calls[i] = tc.args(int64(i) * leaf)
+			}
+			next := 0
+			run := func() {
+				if err := c.Submit(nopDef, calls[next%warm]...); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			}
+			for pass := 0; pass < 2; pass++ {
+				for i := 0; i < warm; i++ {
+					run()
+				}
+				if err := rt.Barrier(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := testing.AllocsPerRun(runs, run); n != 0 {
+				t.Errorf("region Submit allocates %v times per run in steady state, want 0", n)
+			}
+			if err := rt.Barrier(); err != nil {
+				t.Fatal(err)
+			}
+			wait := func() {
+				if err := c.WaitOnRegion(boxed, Interval(0, warm*leaf-1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := testing.AllocsPerRun(runs, wait); n != 0 {
+				t.Errorf("WaitOnRegion with nothing pending allocates %v times, want 0", n)
+			}
+		})
+	}
+}
+
 // TestRecorderDisablesRecordReuse: a context with a Recorder attached
 // keeps one fresh record per task.
 func TestRecorderDisablesRecordReuse(t *testing.T) {

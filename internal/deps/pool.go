@@ -18,13 +18,16 @@ type classKey struct {
 	n int
 }
 
-// maxFreePerClass bounds how many idle instances one size class retains
-// in a private store.  Overflow on release is dropped to the garbage
-// collector, so a burst of renames cannot pin its peak footprint
-// forever.  A shared store scales the bound by its tenant count
-// (NewStorageShared): K contexts recycling through one store deserve
-// the free-list capacity K private runtimes would have had.
-const maxFreePerClass = 64
+// freeBytesPerClass bounds the idle storage one size class retains in a
+// private store, in bytes: a class of small instances keeps as much
+// memory warm as a class of large ones, not as many instances (64 tiles
+// of 256 KiB, or every board an N-Queens run has in flight).  Overflow
+// on release is dropped to the garbage collector, so a burst of renames
+// cannot pin its peak footprint forever.  A shared store scales the
+// bound by its tenant count (NewStorageShared): K contexts recycling
+// through one store deserve the free-list capacity K private runtimes
+// would have had.
+const freeBytesPerClass = 16 << 20
 
 // PoolStats is a snapshot of pool activity.
 type PoolStats struct {
@@ -33,7 +36,7 @@ type PoolStats struct {
 	// renaming engine actually allocated.
 	Hits, Misses int64
 	// Releases counts instances returned to a free list; Drops counts
-	// instances released past the per-class bound and left to the GC.
+	// instances released past the per-class byte bound and left to the GC.
 	Releases, Drops int64
 	// Forfeits counts instances that left pooled management without a
 	// release (an object flipping to region mode keeps its renamed
@@ -63,8 +66,8 @@ type classBucket struct {
 type Storage struct {
 	classes sync.Map // classKey -> *classBucket
 
-	// maxFree is the per-class free-list bound.  Atomic because the
-	// elastic pool rescales it as workers retire and unretire while
+	// maxFree is the per-class free-list bound in bytes.  Atomic because
+	// the elastic pool rescales it as workers retire and unretire while
 	// releases are in flight.
 	maxFree atomic.Int64
 
@@ -83,7 +86,7 @@ func NewStorageShared(tenants int) *Storage {
 		tenants = 1
 	}
 	s := &Storage{}
-	s.maxFree.Store(int64(tenants) * maxFreePerClass)
+	s.maxFree.Store(int64(tenants) * freeBytesPerClass)
 	return s
 }
 
@@ -97,17 +100,19 @@ func (s *Storage) Rescale(units int) {
 	if units < 1 {
 		units = 1
 	}
-	bound := units * maxFreePerClass
-	s.maxFree.Store(int64(bound))
+	bound := int64(units) * freeBytesPerClass
+	s.maxFree.Store(bound)
 	s.classes.Range(func(_, v any) bool {
 		b := v.(*classBucket)
 		var dropped, bytes int64
 		b.mu.Lock()
-		for len(b.free) > bound {
-			inst := b.free[len(b.free)-1]
-			b.free[len(b.free)-1] = nil
-			b.free = b.free[:len(b.free)-1]
-			_, sz := classOf(inst)
+		for n := len(b.free); n > 0; n-- {
+			_, sz := classOf(b.free[n-1])
+			if fits(n, sz, bound) {
+				break
+			}
+			b.free[n-1] = nil
+			b.free = b.free[:n-1]
 			bytes += sz
 			dropped++
 		}
@@ -154,13 +159,18 @@ func (s *Storage) take(key classKey, bytes int64) any {
 	return inst
 }
 
+// fits reports whether n idle instances of size bytes stay within bound.
+// An instance counts for at least a byte, so a class of empty slices is
+// bounded too.
+func fits(n int, bytes, bound int64) bool { return int64(n)*max(bytes, 1) <= bound }
+
 // put returns an instance to its class free list, or drops it to the GC
 // past the per-class bound.
 func (s *Storage) put(key classKey, inst any, bytes int64) {
 	b := s.bucket(key, true)
 	kept := false
 	b.mu.Lock()
-	if len(b.free) < int(s.maxFree.Load()) {
+	if fits(len(b.free)+1, bytes, s.maxFree.Load()) {
 		b.free = append(b.free, inst)
 		kept = true
 	}

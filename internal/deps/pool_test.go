@@ -2,6 +2,8 @@ package deps
 
 import (
 	"testing"
+
+	"repro/internal/graph"
 )
 
 func poolAccess(buf []float32) Access {
@@ -61,22 +63,26 @@ func TestPoolClassesAreDistinct(t *testing.T) {
 }
 
 func TestPoolFreeListBounded(t *testing.T) {
+	// The bound is in bytes: 256 KiB instances fill it with 64, where a
+	// class of 16-byte instances would keep a million.
+	const words = 64 << 10
+	const fit = freeBytesPerClass / (4 * words)
 	var p Pool
-	a := poolAccess(make([]float32, 4))
+	a := poolAccess(make([]float32, words))
 	var insts []any
-	for i := 0; i < maxFreePerClass+5; i++ {
+	for i := 0; i < fit+5; i++ {
 		inst, _ := p.acquire(&a)
 		insts = append(insts, inst)
 	}
 	for _, inst := range insts {
-		p.release(inst, 16)
+		p.release(inst, 4*words)
 	}
 	ps := p.Stats()
-	if ps.Releases != maxFreePerClass || ps.Drops != 5 {
-		t.Fatalf("stats = %+v, want %d releases / 5 drops", ps, maxFreePerClass)
+	if ps.Releases != fit || ps.Drops != 5 {
+		t.Fatalf("stats = %+v, want %d releases / 5 drops", ps, fit)
 	}
-	if ps.FreeBytes != int64(maxFreePerClass)*16 {
-		t.Fatalf("free bytes = %d, want %d", ps.FreeBytes, maxFreePerClass*16)
+	if ps.FreeBytes != freeBytesPerClass {
+		t.Fatalf("free bytes = %d, want %d", ps.FreeBytes, freeBytesPerClass)
 	}
 	if ps.LiveBytes != 0 {
 		t.Fatalf("live bytes = %d, want 0", ps.LiveBytes)
@@ -99,5 +105,38 @@ func TestPoolReclaimHookFires(t *testing.T) {
 	p.forfeit(bytes)
 	if fired != 2 {
 		t.Fatalf("hook fired %d times after forfeit, want 2", fired)
+	}
+}
+
+// TestPoolKeepsSmallClassWarm runs an N-Queens-shaped stream twice: a
+// 13-word board placed into (inout) while the tail searches of earlier
+// placements still read it, so every placement renames, and nothing
+// completes before the repetition's last submission.  The free list is
+// bounded in bytes, so the second repetition finds the first one's
+// boards: an instance bound of 64 served 1 % of them.
+func TestPoolKeepsSmallClassWarm(t *testing.T) {
+	const placements = 6400
+	h := newHarness()
+	board := make([]float32, 13)
+	var hits [2]float64
+	for rep := range hits {
+		before := h.tr.PoolStats()
+		var open []*graph.Node
+		for i := 0; i < placements; i++ {
+			place, _ := h.task(f32Access(board, ModeInOut))
+			tail, _ := h.task(f32Access(board, ModeIn))
+			open = append(open, place, tail)
+		}
+		for _, n := range open {
+			h.g.Complete(n, 0)
+		}
+		after := h.tr.PoolStats()
+		hits[rep] = float64(after.Hits-before.Hits) / placements
+		if after.Drops != 0 {
+			t.Fatalf("repetition %d dropped %d boards of a class far below the byte bound", rep, after.Drops)
+		}
+	}
+	if hits[1] < 0.9 {
+		t.Fatalf("pool hit ratio of the second repetition = %.3f (first %.3f), want >= 0.9", hits[1], hits[0])
 	}
 }

@@ -14,6 +14,11 @@
 // overlapping accesses are ordered.
 package deps
 
+// MaxDims is the number of dimensions a Region bounds.  A specifier with
+// more keeps its first MaxDims and covers the rest entirely, which can
+// only add dependencies, never hide one.
+const MaxDims = 3
+
 // Region selects a rectangular sub-array of an object, as defined in
 // paper §V.A: a list of inclusive (lower, upper) bound pairs, one per
 // dimension.  The zero Region (no bounds) selects the whole object,
@@ -22,10 +27,15 @@ package deps
 // Bounds are expressed in element units of the object's declared shape;
 // the tracker only ever compares regions of the same object, so it never
 // needs to know element sizes.
+//
+// A Region is a plain comparable value: building, copying and storing
+// one allocates nothing.
 type Region struct {
-	// Lo and Hi hold the inclusive per-dimension bounds.  len(Lo) must
-	// equal len(Hi).  Empty slices mean the full object.
-	Lo, Hi []int64
+	// dims is the number of bounded dimensions; zero selects the whole
+	// object.  lo and hi hold the inclusive bounds of the first dims
+	// dimensions.
+	dims   int
+	lo, hi [MaxDims]int64
 }
 
 // Full is the region selecting the entire object.
@@ -35,7 +45,7 @@ var Full = Region{}
 // inclusive, the common case for flat arrays ("data{i..j}" in the paper's
 // syntax).
 func Interval(lo, hi int64) Region {
-	return Region{Lo: []int64{lo}, Hi: []int64{hi}}
+	return Region{dims: 1, lo: [MaxDims]int64{lo}, hi: [MaxDims]int64{hi}}
 }
 
 // Span returns a one-dimensional region of length n starting at lo,
@@ -51,23 +61,29 @@ func Rect(bounds ...int64) Region {
 	if len(bounds)%2 != 0 {
 		panic("deps: Rect requires an even number of bounds")
 	}
-	n := len(bounds) / 2
-	r := Region{Lo: make([]int64, n), Hi: make([]int64, n)}
-	for i := 0; i < n; i++ {
-		r.Lo[i] = bounds[2*i]
-		r.Hi[i] = bounds[2*i+1]
+	r := Region{dims: min(len(bounds)/2, MaxDims)}
+	for i := 0; i < r.dims; i++ {
+		r.lo[i] = bounds[2*i]
+		r.hi[i] = bounds[2*i+1]
 	}
 	return r
 }
 
+// Dims returns the number of bounded dimensions; zero for the whole
+// object.
+func (r Region) Dims() int { return r.dims }
+
+// Bounds returns the inclusive bounds of dimension d < Dims().
+func (r Region) Bounds(d int) (lo, hi int64) { return r.lo[d], r.hi[d] }
+
 // IsFull reports whether the region selects the whole object.
-func (r Region) IsFull() bool { return len(r.Lo) == 0 }
+func (r Region) IsFull() bool { return r.dims == 0 }
 
 // Empty reports whether the region selects no elements (some dimension
 // has Hi < Lo).
 func (r Region) Empty() bool {
-	for i := range r.Lo {
-		if r.Hi[i] < r.Lo[i] {
+	for i := 0; i < r.dims; i++ {
+		if r.hi[i] < r.lo[i] {
 			return true
 		}
 	}
@@ -86,11 +102,11 @@ func (r Region) Overlaps(s Region) bool {
 	if r.IsFull() || s.IsFull() {
 		return true
 	}
-	if len(r.Lo) != len(s.Lo) {
+	if r.dims != s.dims {
 		return true
 	}
-	for i := range r.Lo {
-		if r.Hi[i] < s.Lo[i] || s.Hi[i] < r.Lo[i] {
+	for i := 0; i < r.dims; i++ {
+		if r.hi[i] < s.lo[i] || s.hi[i] < r.lo[i] {
 			return false
 		}
 	}
@@ -107,11 +123,11 @@ func (r Region) Contains(s Region) bool {
 	if s.IsFull() {
 		return false
 	}
-	if len(r.Lo) != len(s.Lo) {
+	if r.dims != s.dims {
 		return false
 	}
-	for i := range r.Lo {
-		if s.Lo[i] < r.Lo[i] || s.Hi[i] > r.Hi[i] {
+	for i := 0; i < r.dims; i++ {
+		if s.lo[i] < r.lo[i] || s.hi[i] > r.hi[i] {
 			return false
 		}
 	}

@@ -7,17 +7,35 @@ import (
 
 func TestIntervalSpanRect(t *testing.T) {
 	i := Interval(3, 7)
-	if i.Lo[0] != 3 || i.Hi[0] != 7 {
+	if lo, hi := i.Bounds(0); i.Dims() != 1 || lo != 3 || hi != 7 {
 		t.Fatalf("Interval = %+v", i)
 	}
-	s := Span(3, 5) // {3:5} → 3..7
-	if s.Lo[0] != 3 || s.Hi[0] != 7 {
+	if s := Span(3, 5); s != i { // {3:5} → 3..7
 		t.Fatalf("Span = %+v", s)
 	}
 	r := Rect(0, 1, 10, 20)
-	if len(r.Lo) != 2 || r.Lo[1] != 10 || r.Hi[1] != 20 {
+	if lo, hi := r.Bounds(1); r.Dims() != 2 || lo != 10 || hi != 20 {
 		t.Fatalf("Rect = %+v", r)
 	}
+	// Dimensions past MaxDims are covered entirely: the region is the
+	// rectangle of its first MaxDims.
+	if r := Rect(0, 1, 2, 3, 4, 5, 6, 7); r != Rect(0, 1, 2, 3, 4, 5) {
+		t.Fatalf("Rect beyond MaxDims = %+v", r)
+	}
+}
+
+// TestRegionsAllocateNothing: a region is a value.
+func TestRegionsAllocateNothing(t *testing.T) {
+	var sink bool
+	lo := int64(3)
+	if n := testing.AllocsPerRun(100, func() {
+		a, b, c := Interval(lo, lo+4), Span(lo, 5), Rect(0, lo, 1, lo+1)
+		sink = a.Overlaps(b) && c.Contains(Rect(0, 1, 1, 2)) && !Full.Empty()
+		lo++
+	}); n != 0 {
+		t.Fatalf("building and comparing regions allocates %v times, want 0", n)
+	}
+	_ = sink
 }
 
 func TestRectPanicsOnOddBounds(t *testing.T) {

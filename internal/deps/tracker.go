@@ -3,6 +3,7 @@ package deps
 import (
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -249,14 +250,6 @@ func (v *version) die() {
 	sh.versions.Put(v)
 }
 
-// regionAccess is one entry in the access history of a region-tracked
-// object.
-type regionAccess struct {
-	region Region
-	mode   Mode
-	task   graph.Ref
-}
-
 // object is the tracker's record for one base address.
 //
 // An object starts in versioned mode, where whole-object accesses build a
@@ -266,10 +259,11 @@ type regionAccess struct {
 // renaming of partial objects is out of scope, which is exactly why the
 // 2008 runtime shipped representants instead).
 type object struct {
-	key      uintptr
-	cur      *version
-	regioned bool
-	hist     []regionAccess
+	key uintptr
+	cur *version
+	// hist is the access history of an object in region mode, nil in
+	// versioned mode.
+	hist *regionHistory
 	// original is the user-visible storage the object was registered
 	// with; renaming may leave the logically-current contents in a
 	// different instance, and SyncBack restores them.
@@ -515,7 +509,7 @@ func (t *Tracker) AnalyzeBatch(node *graph.Node, accs []Access, out []Resolution
 // analyzeLocked dispatches one access; the caller holds sh.mu.
 func (t *Tracker) analyzeLocked(sh *shard, node *graph.Node, a *Access) Resolution {
 	obj := sh.lookup(a)
-	if obj.regioned || !a.Region.IsFull() {
+	if obj.hist != nil || !a.Region.IsFull() {
 		return t.analyzeRegion(sh, node, obj, a)
 	}
 	if t.LegacyRenaming {
@@ -751,45 +745,39 @@ func (t *Tracker) analyzeInOutLegacy(sh *shard, node *graph.Node, obj *object, a
 // overlapping, still-incomplete earlier access where at least one side
 // writes becomes an edge.
 func (t *Tracker) analyzeRegion(sh *shard, node *graph.Node, obj *object, a *Access) Resolution {
-	if !obj.regioned {
+	if obj.hist == nil {
 		t.flipToRegioned(sh, obj)
 	}
-	live := obj.hist[:0]
-	for _, h := range obj.hist {
-		if h.task.Done() {
-			continue
-		}
-		live = append(live, h)
-		if !h.region.Overlaps(a.Region) {
-			continue
-		}
-		if !a.Mode.Writes() && !h.mode.Writes() {
-			continue // read-read never orders
-		}
-		t.g.AddEdge(h.task.Node(), node)
-		if a.Mode.Reads() && h.mode.Writes() {
+	if a.Region.Empty() {
+		return Resolution{Instance: obj.cur.instance} // touches nothing
+	}
+	// Read-read never orders: a reader meets writers only.
+	reads, writes := a.Mode.Reads(), a.Mode.Writes()
+	obj.hist.scan(&a.Region, writes, func(e *regionEntry) bool {
+		t.g.AddEdge(e.task.Node(), node)
+		if reads && e.writes {
 			sh.stats.TrueEdges++
 		} else {
 			sh.stats.FalseEdges++
 		}
-	}
-	clear(obj.hist[len(live):])
-	obj.hist = append(live, regionAccess{region: a.Region, mode: a.Mode, task: node.Ref()})
+		return true
+	})
+	obj.hist.insert(regionEntry{region: a.Region, task: node.Ref(), writes: writes})
 	return Resolution{Instance: obj.cur.instance}
 }
 
 // flipToRegioned converts a versioned object into region mode, seeding the
 // access history from the current version's pending producer and readers.
 func (t *Tracker) flipToRegioned(sh *shard, obj *object) {
-	obj.regioned = true
+	obj.hist = newRegionHistory()
 	sh.stats.RegionObjects++
 	v := obj.cur
 	if p := v.pendingProducer(); p != nil {
-		obj.hist = append(obj.hist, regionAccess{region: Full, mode: ModeOut, task: p.Ref()})
+		obj.hist.insert(regionEntry{region: Full, task: p.Ref(), writes: true})
 	}
 	v.pruneReaders()
 	for _, r := range v.readers {
-		obj.hist = append(obj.hist, regionAccess{region: Full, mode: ModeIn, task: r})
+		obj.hist.insert(regionEntry{region: Full, task: r})
 	}
 	clear(v.readers)
 	v.readers = v.readers[:0]
@@ -804,30 +792,48 @@ func (t *Tracker) flipToRegioned(sh *shard, obj *object) {
 	}
 }
 
-// PendingWriters returns the still-incomplete tasks that write data
-// overlapping the given region of the object at key.  The runtime's
-// WaitOn primitive blocks (and helps execute tasks) until they are all
-// done, after which the main thread may safely read the region.
-func (t *Tracker) PendingWriters(key uintptr, r Region) []*graph.Node {
+// pendingWriters calls visit for each still-incomplete task that writes
+// data overlapping region r of the object at key, once per access, until
+// visit returns false.
+func (t *Tracker) pendingWriters(key uintptr, r *Region, visit func(*graph.Node) bool) {
 	sh := t.shardOf(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	obj := sh.objects[key]
 	if obj == nil {
-		return nil
+		return
 	}
+	if obj.hist != nil {
+		obj.hist.scan(r, false, func(e *regionEntry) bool { return visit(e.task.Node()) })
+	} else if p := obj.cur.pendingProducer(); p != nil {
+		visit(p)
+	}
+}
+
+// WriterPending reports whether a still-incomplete task writes data
+// overlapping the given region of the object at key.  The runtime's
+// WaitOn primitive blocks (and helps execute tasks) until none does,
+// after which the main thread may safely read the region.  It must be
+// called from the submitting thread.
+func (t *Tracker) WriterPending(key uintptr, r Region) bool {
+	found := false
+	t.pendingWriters(key, &r, func(*graph.Node) bool {
+		found = true
+		return false
+	})
+	return found
+}
+
+// PendingWriters returns the tasks WriterPending tests for, each once; a
+// diagnostic.
+func (t *Tracker) PendingWriters(key uintptr, r Region) []*graph.Node {
 	var out []*graph.Node
-	if obj.regioned {
-		for _, h := range obj.hist {
-			if h.mode.Writes() && !h.task.Done() && h.region.Overlaps(r) {
-				out = append(out, h.task.Node())
-			}
+	t.pendingWriters(key, &r, func(n *graph.Node) bool {
+		if !slices.Contains(out, n) {
+			out = append(out, n)
 		}
-		return out
-	}
-	if p := obj.cur.pendingProducer(); p != nil {
-		out = append(out, p)
-	}
+		return true
+	})
 	return out
 }
 
