@@ -2,6 +2,7 @@ package apps
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -124,6 +125,37 @@ func TestMultisortSMPSs(t *testing.T) {
 		if !isSorted(data) || !sameMultiset(orig, data) {
 			t.Fatalf("workers=%d: SMPSs multisort failed", workers)
 		}
+	}
+}
+
+// TestMultisortSMPSsForgetsMergeBuffer: each call allocates its own
+// merge buffer (1 MiB here), and a long-lived context must not keep a
+// tracker object — and through it the buffer — per call.
+func TestMultisortSMPSsForgetsMergeBuffer(t *testing.T) {
+	rt := core.New(core.Config{Workers: 2})
+	defer rt.Close()
+	orig := randKeys(128<<10, 6)
+	data := make([]int64, len(orig))
+	heapAfterSort := func() uint64 {
+		copy(data, orig)
+		if err := MultisortSMPSs(rt.Context(), data, DefaultSortConfig); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	first := heapAfterSort()
+	var last uint64
+	for i := 1; i < 30; i++ {
+		last = heapAfterSort()
+	}
+	if !isSorted(data) || !sameMultiset(orig, data) {
+		t.Fatal("SMPSs multisort failed")
+	}
+	if grown := int64(last) - int64(first); grown > 4<<20 {
+		t.Fatalf("29 further sorts on one context retained %d KiB of heap", grown>>10)
 	}
 }
 

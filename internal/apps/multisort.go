@@ -315,7 +315,11 @@ func multisortSMPSs(ctx *core.Context, data []int64, cfg SortConfig, coarse bool
 		copy(dst[lo:hi+1], src[lo:hi+1])
 	})
 	s.sort(0, len(data)-1)
-	if err := ctx.Barrier(); err != nil {
+	err := ctx.Barrier()
+	// tmp dies with this call; without this the context would keep its
+	// tracker object, region history and the buffer itself forever.
+	ctx.Forget(s.tmp)
+	if err != nil {
 		return err
 	}
 	return s.err

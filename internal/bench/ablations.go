@@ -13,16 +13,13 @@ import (
 // The ablations make the design decisions of DESIGN.md measurable: each
 // switches off one mechanism the paper argues for and reports the cost.
 
-// renameConfigs are the three rename lifecycles the ablation compares:
-// the pooled memory manager (default), the seed lifecycle
-// (LegacyRenaming: fresh heap allocation per rename, superseded
-// versions to the GC), and renaming disabled (hazards become edges).
+// renameConfigs are the two arms the ablation compares: the pooled
+// memory manager (default) and renaming disabled (hazards become edges).
 var renameConfigs = []struct {
 	name string
 	cfg  core.Config
 }{
 	{"pooled", core.Config{}},
-	{"legacy", core.Config{LegacyRenaming: true}},
 	{"no-renaming", core.Config{DisableRenaming: true}},
 }
 
@@ -76,8 +73,7 @@ func factorRounds(al *linalg.Algos, flat []float32, nb, block, rounds int, facto
 
 // choleskyChurnStats runs the pipelined reset+Cholesky workload under
 // rtCfg with the given tile provider and returns its measurement.
-// Exposed to the acceptance test, which asserts the pooled lifecycle
-// allocates strictly fewer fresh instances than the legacy one.
+// Exposed to the acceptance tests, which assert on its counters.
 func choleskyChurnStats(threads, dim, block, rounds int, rtCfg core.Config, p kernels.Provider) renameRun {
 	flat := kernels.GenSPD(dim, 13)
 	nb := dim / block
@@ -90,19 +86,17 @@ func choleskyChurnStats(threads, dim, block, rounds int, rtCfg core.Config, p ke
 
 // AblationRenaming measures the version-lifecycle memory manager: the
 // size-classed recycling pool, eager refcount-driven reclamation and
-// copy elision against the seed rename lifecycle (LegacyRenaming) and
-// against renaming disabled, over pipelined blocked Cholesky and LU
-// rounds plus a synthetic version-churn loop.  The numbers to read are
-// in the notes: "fresh" is the count of real heap allocations the
-// renaming engine performed (PoolMisses under the pooled lifecycle,
-// Renames under the legacy one), and live renamed bytes after the final
-// barrier must be zero under the pooled lifecycle.
+// copy elision against renaming disabled, over pipelined blocked
+// Cholesky and LU rounds plus a synthetic version-churn loop.  The
+// numbers to read are in the notes: "fresh-allocs" is the count of real
+// heap allocations the renaming engine performed (PoolMisses), and live
+// renamed bytes after the final barrier must be zero.
 func AblationRenaming(cfg Config) *Result {
 	cfg = cfg.Normalize()
 	start := time.Now()
 	r := &Result{
 		ID:     "ablation-rename",
-		Title:  "Rename lifecycle: pooled vs legacy vs disabled (seconds, lower is better)",
+		Title:  "Renaming: pooled vs disabled (seconds, lower is better)",
 		XLabel: "threads",
 		YLabel: "seconds",
 	}
@@ -114,17 +108,11 @@ func AblationRenaming(cfg Config) *Result {
 	}
 	nb := dim / block
 
-	note := func(wl, name string, cfg core.Config, run renameRun) {
+	note := func(wl, name string, run renameRun) {
 		st := run.st
-		// Fresh allocations: pool misses under the pooled lifecycle;
-		// every rename allocates under the legacy (or disabled) one.
-		fresh := st.PoolMisses
-		if cfg.LegacyRenaming || cfg.DisableRenaming {
-			fresh = st.Renames
-		}
 		r.Notes = append(r.Notes, fmt.Sprintf(
 			"%s/%s: renames=%d fresh-allocs=%d pool-hits=%d elided=%d false-edges=%d live-bytes-after-barrier=%d",
-			wl, name, st.Renames, fresh, st.PoolHits, st.RenamesElided, st.Deps.FalseEdges, st.LiveRenamedBytes))
+			wl, name, st.Renames, st.PoolMisses, st.PoolHits, st.RenamesElided, st.Deps.FalseEdges, st.LiveRenamedBytes))
 	}
 
 	// Blocked Cholesky, pipelined reset+factor rounds.
@@ -133,7 +121,7 @@ func AblationRenaming(cfg Config) *Result {
 		s := Series{Name: "cholesky " + c.name}
 		s.add(float64(threads), run.secs)
 		r.Series = append(r.Series, s)
-		note("cholesky", c.name, c.cfg, run)
+		note("cholesky", c.name, run)
 	}
 
 	// Blocked LU (no pivoting), same churn structure.
@@ -147,7 +135,7 @@ func AblationRenaming(cfg Config) *Result {
 		s := Series{Name: "lu " + c.name}
 		s.add(float64(threads), run.secs)
 		r.Series = append(r.Series, s)
-		note("lu", c.name, c.cfg, run)
+		note("lu", c.name, run)
 	}
 
 	// Synthetic version churn: every refill overwrites a buffer a
@@ -194,7 +182,7 @@ func AblationRenaming(cfg Config) *Result {
 		s := Series{Name: "churn " + c.name}
 		s.add(float64(threads), run.secs)
 		r.Series = append(r.Series, s)
-		note("churn", c.name, c.cfg, run)
+		note("churn", c.name, run)
 	}
 
 	r.Elapsed = time.Since(start)
@@ -244,20 +232,15 @@ func AblationScheduler(cfg Config) *Result {
 	return r
 }
 
-// AblationTracker measures the runtime-structure overhaul on a
+// AblationTracker measures the dependency tracker's lock striping on a
 // submission-heavy microbenchmark: many chains of deliberately tiny inout
 // tasks, so tracker entry and ready-queue traffic dominate over compute.
 //
-// "global-tracker" is the seed runtime's structure — a single-stripe
-// (global-mutex) dependency tracker and the locality ready lists under
-// the global condvar that broadcast on every push while any worker
-// slept.  (The seed's one tracker lock round-trip per submitted
-// parameter is gone from the runtime; CHANGES.md PR 1 records what it
-// cost.)  "sharded-tracker" is the overhauled runtime — the
-// lock-striped tracker, the per-worker bounded deques with steal-half
-// work stealing and per-worker parking, and Batch submission.  Both sweep the worker count; the notes record a
-// shard-count sweep at the maximum worker count so the striping itself
-// is measured, not just asserted.
+// "global-tracker" runs with a single stripe (one global mutex);
+// "sharded-tracker" with the default stripe count.  Everything else —
+// scheduler, parking, Batch submission — is the shipped runtime on both
+// arms.  Both sweep the worker count; the notes record a shard-count
+// sweep at the maximum worker count.
 func AblationTracker(cfg Config) *Result {
 	cfg = cfg.Normalize()
 	start := time.Now()
@@ -268,7 +251,7 @@ func AblationTracker(cfg Config) *Result {
 	total := objects * chain
 	r := &Result{
 		ID:     "ablation-tracker",
-		Title:  fmt.Sprintf("Sharded tracker + work stealing vs global lock, %d×%d-task chains (ktasks/s)", objects, chain),
+		Title:  fmt.Sprintf("Sharded tracker vs global lock, %d×%d-task chains (ktasks/s)", objects, chain),
 		XLabel: "threads",
 		YLabel: "ktasks/s",
 	}
@@ -281,11 +264,9 @@ func AblationTracker(cfg Config) *Result {
 			acc[i] = acc[i]*1.0001 + x[i] + y[i]
 		}
 	})
-	// run returns throughput in thousands of tasks per second for one
-	// runtime configuration.  overhauled=false reproduces the seed
-	// runtime's structure: one tracker stripe behind a global mutex,
-	// the list-based locality policy, and the broadcast condvar.
-	run := func(threads, shards int, policy core.SchedulerKind, overhauled bool) float64 {
+	// run returns throughput in thousands of tasks per second with the
+	// given tracker stripe count (0 selects the default).
+	run := func(threads, shards int) float64 {
 		// Per-chain inputs: sharing read inputs across chains would make
 		// every task append to a few giant reader lists whose pruning
 		// cost depends on execution order, drowning the structural
@@ -305,30 +286,16 @@ func AblationTracker(cfg Config) *Result {
 		for rep := 0; rep < 3; rep++ {
 			var secs float64
 			withProcs(threads, func() {
-				rt := core.New(core.Config{
-					Workers:       threads,
-					Scheduler:     policy,
-					TrackerShards: shards,
-					LegacyWakeup:  !overhauled,
-				})
+				rt := core.New(core.Config{Workers: threads, TrackerShards: shards})
 				secs = timeIt(func() {
-					if overhauled {
-						batch := rt.NewBatch()
-						for o, b := range accs {
-							for k := 0; k < chain; k++ {
-								batch.Add(churn,
-									core.In(xs[o]), core.In(ys[o]), core.InOut(b))
-							}
-							if err := batch.Submit(); err != nil {
-								panic(err)
-							}
+					batch := rt.NewBatch()
+					for o, b := range accs {
+						for k := 0; k < chain; k++ {
+							batch.Add(churn,
+								core.In(xs[o]), core.In(ys[o]), core.InOut(b))
 						}
-					} else {
-						for o, b := range accs {
-							for k := 0; k < chain; k++ {
-								rt.Submit(churn,
-									core.In(xs[o]), core.In(ys[o]), core.InOut(b))
-							}
+						if err := batch.Submit(); err != nil {
+							panic(err)
 						}
 					}
 					if err := rt.Barrier(); err != nil {
@@ -347,20 +314,20 @@ func AblationTracker(cfg Config) *Result {
 	global := Series{Name: "global-tracker"}
 	sharded := Series{Name: "sharded-tracker"}
 	for _, t := range ThreadSweep(cfg.MaxThreads) {
-		global.add(float64(t), run(t, 1, core.SchedLegacyLists, false))
-		sharded.add(float64(t), run(t, 0, core.SchedLocality, true))
+		global.add(float64(t), run(t, 1))
+		sharded.add(float64(t), run(t, 0))
 	}
 	r.Notes = append(r.Notes,
-		fmt.Sprintf("%d chains × %d tasks of %d-float axpy; global = seed structure (1 tracker stripe, locality lists under a broadcast condvar); sharded = striped tracker + Batch submission + steal-half deques + per-worker parking", objects, chain, block))
+		fmt.Sprintf("%d chains × %d tasks of %d-float axpy; global = 1 tracker stripe, sharded = default stripe count; same scheduler, parking and Batch submission on both", objects, chain, block))
 	r.Series = append(r.Series, global, sharded)
 
-	// Shard-count sweep at full thread count, everything else overhauled.
+	// Shard-count sweep at full thread count.
 	maxShards := 16
 	if cfg.Quick {
 		maxShards = 8
 	}
 	for shards := 1; shards <= maxShards; shards *= 2 {
-		tput := run(cfg.MaxThreads, shards, core.SchedLocality, true)
+		tput := run(cfg.MaxThreads, shards)
 		r.Notes = append(r.Notes,
 			fmt.Sprintf("%2d shard(s) at %d threads: %.1f ktasks/s", shards, cfg.MaxThreads, tput))
 	}

@@ -4,9 +4,9 @@
 // irregular, fill-in-allocating task graph: the experiment factors the
 // same block-sparse matrix on a dedicated private runtime (the pre-host
 // baseline) and on a shared pool through a hosted context per scheduler
-// kind — the paper's locality scheduler with stealing, the central FIFO
-// of the SuperMatrix/CellSs hosts, and the seed's legacy lists.  Every
-// point is verified exact against the sequential factorization.
+// kind — the paper's locality scheduler with stealing and the central
+// FIFO of the SuperMatrix/CellSs hosts.  Every point is verified exact
+// against the sequential factorization.
 package bench
 
 import (
@@ -45,7 +45,6 @@ func AblationModels(cfg Config) *Result {
 	}{
 		{"hosted-steal", core.SchedLocality},
 		{"hosted-fifo", core.SchedGlobalFIFO},
-		{"hosted-lists", core.SchedLegacyLists},
 	}
 
 	dedicated := Series{Name: "dedicated"}

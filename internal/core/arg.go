@@ -107,10 +107,6 @@ func Opaque(v any) Arg { return Arg{kind: argOpaque, data: v} }
 // memory addresses.
 func dataKey(data any) uintptr { return dataid.Key(data) }
 
-// byteSize returns the storage footprint of a data argument, used to
-// account renamed memory against Config.MemoryLimit.
-func byteSize(data any) int64 { return dataid.ByteSize(data) }
-
 // copyInto copies src's contents into dst; both must have the shape
 // dataid.AllocLike produces for the same exemplar.
 func copyInto(dst, src any) { dataid.CopyInto(dst, src) }

@@ -2,9 +2,9 @@ package core
 
 import "testing"
 
-// TestSubmitBatchMatchesSubmit runs the same dependent chain through
-// SubmitBatch and checks the final value: intra-batch dependencies must
-// resolve exactly like separate Submit calls.
+// TestBatchMatchesSubmit runs a dependent chain through one Batch and
+// checks the final value: intra-batch dependencies must resolve exactly
+// like separate Submit calls.
 //
 // The edge-count assertion is deterministic at any worker count:
 // Deps.TrueEdges counts logical read-after-write dependencies at
@@ -12,16 +12,18 @@ import "testing"
 // already completed (which is the only part that depends on execution
 // timing).  This test runs with real workers racing the submitter on
 // purpose — the CI race job executes it under GOMAXPROCS=4.
-func TestSubmitBatchMatchesSubmit(t *testing.T) {
+func TestBatchMatchesSubmit(t *testing.T) {
 	rt := New(Config{Workers: 4})
 	defer rt.Close()
 	x := make([]float32, 8)
-	rt.SubmitBatch(
-		Call(fillDef, Out(x), Value(1.0)),
-		Call(scaleDef, InOut(x), Value(2.0)),
-		Call(scaleDef, InOut(x), Value(2.0)),
-		Call(scaleDef, InOut(x), Value(2.0)),
-	)
+	b := rt.NewBatch()
+	b.Add(fillDef, Out(x), Value(1.0))
+	b.Add(scaleDef, InOut(x), Value(2.0))
+	b.Add(scaleDef, InOut(x), Value(2.0))
+	b.Add(scaleDef, InOut(x), Value(2.0))
+	if err := b.Submit(); err != nil {
+		t.Fatal(err)
+	}
 	if err := rt.Barrier(); err != nil {
 		t.Fatal(err)
 	}
@@ -102,29 +104,6 @@ func TestTrackerShardsConfig(t *testing.T) {
 		if x[0] != 1024 {
 			t.Fatalf("shards=%d: x[0] = %v, want 1024", shards, x[0])
 		}
-	}
-}
-
-// TestLegacyAblationConfig runs the pre-overhaul configuration (list
-// scheduler, condvar wakeup, one tracker stripe) end to end: the
-// ablation baseline must stay a working runtime, not a museum piece.
-func TestLegacyAblationConfig(t *testing.T) {
-	rt := New(Config{
-		Workers:       4,
-		Scheduler:     SchedLegacyLists,
-		TrackerShards: 1,
-		LegacyWakeup:  true,
-	})
-	x := make([]float32, 8)
-	y := make([]float32, 8)
-	rt.Submit(fillDef, Out(x), Value(3.0))
-	rt.Submit(fillDef, Out(y), Value(1.0))
-	rt.Submit(axpyDef, In(x), InOut(y), Value(1.0))
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if y[0] != 4 {
-		t.Fatalf("y[0] = %v, want 4", y[0])
 	}
 }
 

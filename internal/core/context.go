@@ -42,8 +42,8 @@ func (p FailurePolicy) String() string {
 }
 
 // ContextConfig parameterizes one Context on a shared pool.  The fields
-// mirror the graph-state half of Config; worker-count and wakeup
-// machinery live in PoolConfig.
+// mirror the graph-state half of Config; the worker team lives in
+// PoolConfig.
 type ContextConfig struct {
 	// Scheduler selects the context's scheduling policy; default
 	// SchedLocality.  Each context has its own policy instance, so
@@ -56,9 +56,6 @@ type ContextConfig struct {
 	// DisableRenaming turns off the renaming engine, materializing
 	// WAR/WAW hazards as real edges (ablation).
 	DisableRenaming bool
-	// LegacyRenaming restores the seed runtime's rename lifecycle
-	// (ablation baseline; see Config.LegacyRenaming).
-	LegacyRenaming bool
 	// GraphLimit bounds the number of open (submitted, not completed)
 	// tasks before Submit throttles.  Zero selects DefaultGraphLimit;
 	// negative disables throttling.
@@ -96,8 +93,8 @@ type ContextConfig struct {
 // served by the pool's workers under round-robin fair dispatch.
 //
 // The single-submitter contract: each Context belongs to exactly one
-// submitting goroutine.  All calls to Submit, SubmitBatch, Batch
-// methods, Barrier, WaitOn and Close must come from that goroutine;
+// submitting goroutine.  All calls to Submit, Batch methods, Barrier,
+// WaitOn, Forget and Close must come from that goroutine;
 // task bodies run on the pool's workers and must not submit to any
 // context.  Different contexts may submit concurrently from different
 // goroutines — that is the point of the pool — but one context must
@@ -117,17 +114,33 @@ type Context struct {
 	q     *sched.Client
 	tracr *trace.Tracer
 
-	outstanding  atomic.Int64
-	submitted    atomic.Int64
-	executed     atomic.Int64
-	mainHelped   atomic.Int64
-	syncCopies   atomic.Int64
-	waiters      atomic.Int64
-	renamedBytes atomic.Int64
-	chainHits    atomic.Int64
-	failures     atomic.Int64
-	poisonSkips  atomic.Int64
-	cancelSkips  atomic.Int64
+	outstanding atomic.Int64
+	submitted   atomic.Int64
+	executed    atomic.Int64
+	mainHelped  atomic.Int64
+	syncCopies  atomic.Int64
+	waiters     atomic.Int64
+	chainHits   atomic.Int64
+
+	// Submission scratch reused across submissions to keep
+	// the per-task tracker entry allocation-free.  Guarded by the
+	// single-submitter contract.
+	accBuf []deps.Access
+	resBuf []deps.Resolution
+	ixBuf  []int
+
+	// recs recycles task records: exec frees, submitOne reuses.
+	recs deps.FreeList[taskRec]
+
+	// Everything below is written only when a task fails or the context
+	// is canceled or closed, and the 64 bytes before canceled hold
+	// nothing else: every exec on every worker reads that flag, so it
+	// must not share a cache line with what the submitter writes per
+	// task (next to the scratch above it cost chain_null 2–14 % of
+	// wall_s, depending on where the allocator put the Context).
+	failures    atomic.Int64
+	poisonSkips atomic.Int64
+	cancelSkips atomic.Int64
 
 	// errMu guards the two sticky error latches.  firstErr is the first
 	// task failure (clearable with ClearErr); cancelErr is set once by
@@ -142,16 +155,6 @@ type Context struct {
 	closed   atomic.Bool
 	// deadline is the ContextConfig.Deadline timer, stopped at Close.
 	deadline *time.Timer
-
-	// Submission scratch reused across Submit/SubmitBatch calls to keep
-	// the per-task tracker entry allocation-free.  Guarded by the
-	// single-submitter contract.
-	accBuf []deps.Access
-	resBuf []deps.Resolution
-	ixBuf  []int
-
-	// recs recycles task records: exec frees, submitOne reuses.
-	recs deps.FreeList[taskRec]
 }
 
 // NewContext attaches a new context to the pool.  It returns a
@@ -176,7 +179,6 @@ func (p *Pool) NewContext(cfg ContextConfig) (*Context, error) {
 	c.tr = deps.NewTrackerShards(c.g, cfg.TrackerShards)
 	c.tr.ShareStorage(p.store)
 	c.tr.DisableRenaming = cfg.DisableRenaming
-	c.tr.LegacyRenaming = cfg.LegacyRenaming
 	c.tr.AffinityHints = cfg.Locality.Affinity
 	// Reclaimed renamed storage wakes this context's submitter when it
 	// blocks on the memory limit — the parked wait's signal (paper §III).
@@ -308,17 +310,10 @@ func (c *Context) Stats() Stats {
 }
 
 // liveRenamedBytes returns the memory-limit gauge: bytes of renamed
-// storage alive in this context right now.  Under LegacyRenaming the
-// seed's per-task accounting applies (bytes pinned by incomplete
-// tasks); otherwise the tracker pool's acquire/release gauge, which
-// also covers storage kept alive by diverged objects after their tasks
-// completed.
-func (c *Context) liveRenamedBytes() int64 {
-	if c.cfg.LegacyRenaming {
-		return c.renamedBytes.Load()
-	}
-	return c.tr.LiveRenamedBytes()
-}
+// storage alive in this context right now — the tracker pool's
+// acquire/release gauge, which also covers storage kept alive by
+// diverged objects after their tasks completed.
+func (c *Context) liveRenamedBytes() int64 { return c.tr.LiveRenamedBytes() }
 
 // Submit invokes a task: the runtime analyzes each parameter's
 // directionality against the current state of its data, adds the task
@@ -339,7 +334,7 @@ func (c *Context) Submit(def *TaskDef, args ...Arg) error {
 	return nil
 }
 
-// admit is the prologue Submit, SubmitBatch and Batch.Submit share: a
+// admit is the prologue Submit and Batch.Submit share: a
 // canceled context refuses with its CanceledError, a closed one with a
 // ClosedError naming op.  Cancellation is tested first: a tenant that
 // Pool.Drain canceled and then force-closed is told why.
@@ -349,21 +344,6 @@ func (c *Context) admit(op string) error {
 	}
 	if c.closed.Load() {
 		return &ClosedError{Entity: "context", Op: op}
-	}
-	return nil
-}
-
-// SubmitBatch submits a sequence of task invocations, equivalent to
-// calling Submit once per element but with the per-call overhead
-// amortized (see Runtime.SubmitBatch).  It submits nothing and returns
-// a ClosedError if the context is closed, its CanceledError if canceled.
-func (c *Context) SubmitBatch(calls ...TaskCall) error {
-	if err := c.admit("SubmitBatch"); err != nil {
-		return err
-	}
-	for i := range calls {
-		c.throttle()
-		c.submitOne(calls[i].Def, calls[i].Args)
 	}
 	return nil
 }
@@ -446,7 +426,7 @@ func (c *Context) freeRec(rec *taskRec) {
 	}
 	// Drop what the record references so the free list pins no user data.
 	clear(rec.args)
-	rec.def, rec.body, rec.renamedBytes = nil, Args{}, 0
+	rec.def, rec.body = nil, Args{}
 	c.recs.Put(rec)
 }
 
@@ -480,12 +460,6 @@ func (c *Context) submitOne(def *TaskDef, args []Arg) {
 		res := &ress[j]
 		i := ixs[j]
 		if res.Renamed {
-			if c.cfg.LegacyRenaming {
-				// Seed accounting: the bytes pin against the task and
-				// drain at its completion.  The pooled lifecycle
-				// accounts on acquire/release inside the tracker.
-				rec.renamedBytes += byteSize(args[i].data)
-			}
 			c.tracr.EmitCtx(c.id, c.slot, trace.EvRename, def.kind, def.Name, node.ID)
 		}
 		rec.args[i] = boundArg{kind: argData, instance: res.Instance, copyFrom: res.CopyFrom}
@@ -497,7 +471,6 @@ func (c *Context) submitOne(def *TaskDef, args []Arg) {
 	c.accBuf, c.resBuf, c.ixBuf = accs, ress, ixs
 	c.submitted.Add(1)
 	c.outstanding.Add(1)
-	c.renamedBytes.Add(rec.renamedBytes)
 	c.tracr.EmitCtx(c.id, c.slot, trace.EvCreate, def.kind, def.Name, node.ID)
 	c.g.Seal(node)
 }
@@ -558,9 +531,6 @@ func (c *Context) exec(n *graph.Node, self int) {
 			// Skips complete without executing, so TasksExecuted keeps
 			// meaning "bodies run"; the skip counters hold the rest.
 			c.executed.Add(1)
-		}
-		if rec.renamedBytes != 0 {
-			c.renamedBytes.Add(-rec.renamedBytes)
 		}
 		// Before the count below lets a Barrier return, so a drained
 		// context has every record back on its free list.
@@ -677,6 +647,14 @@ func (c *Context) WaitOnRegion(data any, r Region) error {
 	}
 	return c.barrierErr()
 }
+
+// Forget drops the context's tracking state for data, so a long-lived
+// context does not keep a tracker object (and through it the buffer) for
+// every temporary it ever passed to a task.  Call it after Barrier or
+// WaitOn(data): no task touching data may be pending.  Renamed contents
+// are NOT synced back — data keeps whatever it last held — and a later
+// access re-registers data afresh.
+func (c *Context) Forget(data any) { c.tr.Forget(dataKey(data)) }
 
 // Close waits for all of this context's outstanding work (an implicit
 // barrier), then detaches the context from the pool, freeing its slot

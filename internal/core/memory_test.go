@@ -107,32 +107,6 @@ func TestMemoryLimitIdleDivergenceSyncs(t *testing.T) {
 	}
 }
 
-// TestLegacyRenamingConfig: the ablation baseline must reproduce the
-// seed lifecycle — renames without pool traffic or elision counting,
-// per-task byte accounting draining at the barrier — with identical
-// program semantics.
-func TestLegacyRenamingConfig(t *testing.T) {
-	rt := New(Config{Workers: 4, LegacyRenaming: true, MemoryLimit: 16 << 10})
-	defer rt.Close()
-	x, y := churnRounds(rt, 50, 1024)
-	if err := rt.Barrier(); err != nil {
-		t.Fatal(err)
-	}
-	st := rt.Stats()
-	if st.Renames == 0 {
-		t.Fatalf("legacy mode must still rename: %+v", st)
-	}
-	if st.PoolHits != 0 || st.PoolMisses != 0 || st.RenamesElided != 0 {
-		t.Fatalf("legacy mode must not drive the pool or elide: %+v", st)
-	}
-	if st.LiveRenamedBytes != 0 {
-		t.Fatalf("legacy per-task accounting leaked %d bytes", st.LiveRenamedBytes)
-	}
-	if x[0] != 1 || y[0] != 50 {
-		t.Fatalf("results corrupted: x[0]=%v y[0]=%v", x[0], y[0])
-	}
-}
-
 // regionAddDef adds a delta over the [lo, lo+n) range of its inout
 // parameter; the region restriction is declared at the call site.
 var regionAddDef = NewTaskDef("radd", func(a *Args) {
@@ -181,5 +155,39 @@ func TestRegionRenameInterleaveRace(t *testing.T) {
 		if live := rt.Stats().LiveRenamedBytes; live != 0 {
 			t.Fatalf("trial %d: live renamed bytes after barrier = %d", trial, live)
 		}
+	}
+}
+
+// TestForgetReleasesDivergedInstance: Forget of a diverged, drained
+// object returns its renamed instance to the pool and does not sync the
+// contents back — the buffer keeps what it last held.
+func TestForgetReleasesDivergedInstance(t *testing.T) {
+	// Workers: 1 has no worker goroutines: nothing runs before WaitOn,
+	// so the second fill always finds the reader pending and renames.
+	rt := newRT(t, 1)
+	defer rt.Close()
+	x := make([]float32, 1024)
+	y := make([]float32, 1024)
+	rt.Submit(fillDef, Out(y), Value(0.0))
+	rt.Submit(fillDef, Out(x), Value(1.0))
+	rt.Submit(axpyDef, In(x), InOut(y), Value(1.0))
+	rt.Submit(fillDef, Out(x), Value(2.0)) // renamed: x diverges
+	rt.Submit(axpyDef, In(x), InOut(y), Value(1.0))
+	// The last task depends on all the others; WaitOn syncs back y only.
+	if err := rt.WaitOn(y); err != nil {
+		t.Fatal(err)
+	}
+	if live := rt.Stats().LiveRenamedBytes; live != 4096 {
+		t.Fatalf("live renamed bytes before Forget = %d, want x's 4096", live)
+	}
+	rt.Context().Forget(x)
+	if live := rt.Stats().LiveRenamedBytes; live != 0 {
+		t.Fatalf("live renamed bytes after Forget = %d, want 0", live)
+	}
+	if x[0] != 1 || y[0] != 3 {
+		t.Fatalf("x[0]=%v y[0]=%v, want 1 (not synced back) and 3", x[0], y[0])
+	}
+	if err := rt.Barrier(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -205,9 +205,6 @@ func TestClosedSubmissionTypedErrors(t *testing.T) {
 	if err := c.Submit(fillDef, Out(buf), Value(1.0)); !errors.As(err, &ce) || ce.Entity != "context" {
 		t.Fatalf("Submit on closed context: %v, want *ClosedError{context}", err)
 	}
-	if err := c.SubmitBatch(Call(fillDef, Out(buf), Value(1.0))); !errors.As(err, &ce) {
-		t.Fatalf("SubmitBatch on closed context: %v, want *ClosedError", err)
-	}
 	if err := batch.Submit(); !errors.As(err, &ce) {
 		t.Fatalf("Batch.Submit on closed context: %v, want *ClosedError", err)
 	}

@@ -30,10 +30,6 @@ type PoolConfig struct {
 	// space).  Zero selects DefaultMaxContexts.  Slots are recycled as
 	// contexts close.
 	MaxContexts int
-	// LegacyWakeup replaces the per-worker parking protocol with the
-	// seed's global mutex+condvar (broadcast on every push while anyone
-	// sleeps) — the pre-overhaul wake machinery, kept as an ablation.
-	LegacyWakeup bool
 
 	// MinWorkers and MaxWorkers enable elastic scaling: the dedicated
 	// team grows toward MaxWorkers under sustained queue depth and
@@ -100,7 +96,7 @@ type Pool struct {
 	cfg   PoolConfig
 	slots int // MaxContexts + Workers
 
-	mux   sched.Mux
+	mux   *sched.TokenMux
 	store *deps.Storage
 
 	// locals holds the worker-local registry slots: locals[w] is owned
@@ -165,11 +161,7 @@ func newPool(cfg PoolConfig) *Pool {
 		ctxs:  make([]*Context, cfg.MaxContexts),
 	}
 	p.locals = make([][]any, p.slots)
-	if cfg.LegacyWakeup {
-		p.mux = sched.NewCondvarMux(p.slots)
-	} else {
-		p.mux = sched.NewTokenMux(p.slots)
-	}
+	p.mux = sched.NewTokenMux(p.slots)
 	if cfg.MaxWorkers > cfg.MinWorkers {
 		p.initElastic()
 	}
@@ -383,8 +375,6 @@ func (p *Pool) policyFor(kind SchedulerKind) sched.Policy {
 	switch kind {
 	case SchedGlobalFIFO:
 		return sched.NewGlobalFIFO()
-	case SchedLegacyLists:
-		return sched.NewListLocality(p.slots)
 	default:
 		if p.cfg.Topology != nil || p.active != nil {
 			return sched.NewLocalitySharedElastic(p.slots, p.cfg.MaxContexts, p.cfg.Topology, p.active)

@@ -355,9 +355,9 @@ func TestPoisonThroughCompletedProducer(t *testing.T) {
 	}
 }
 
-// TestCanceledContextRefusesEveryEntryPoint: Submit, SubmitBatch and
-// Batch.Submit share one admission check, so a canceled tenant cannot
-// keep submitting through the batch path linalg uses.
+// TestCanceledContextRefusesEveryEntryPoint: Submit and Batch.Submit
+// share one admission check, so a canceled tenant cannot keep
+// submitting through the batch path linalg uses.
 func TestCanceledContextRefusesEveryEntryPoint(t *testing.T) {
 	pool, err := NewPool(PoolConfig{Workers: 1})
 	if err != nil {
@@ -376,9 +376,6 @@ func TestCanceledContextRefusesEveryEntryPoint(t *testing.T) {
 	var ce *CanceledError
 	if err := c.Submit(nopDef, InOut(x)); !errors.As(err, &ce) {
 		t.Errorf("Submit on a canceled context = %v, want CanceledError", err)
-	}
-	if err := c.SubmitBatch(Call(nopDef, InOut(x))); !errors.As(err, &ce) {
-		t.Errorf("SubmitBatch on a canceled context = %v, want CanceledError", err)
 	}
 	if err := b.Submit(); !errors.As(err, &ce) {
 		t.Errorf("Batch.Submit on a canceled context = %v, want CanceledError", err)

@@ -20,10 +20,6 @@ const (
 	// SchedGlobalFIFO is the ablation policy: one central FIFO queue,
 	// the structure of SuperMatrix (paper §VII.C).
 	SchedGlobalFIFO
-	// SchedLegacyLists is the seed runtime's list-based locality policy
-	// (unbounded per-worker lists, single-task FIFO steals), kept so the
-	// scheduler-overhaul ablation measures against the real predecessor.
-	SchedLegacyLists
 )
 
 // LocalityConfig gates the scheduler's locality layer: the paper's
@@ -69,12 +65,6 @@ type Config struct {
 	// DisableRenaming turns off the renaming engine, materializing
 	// WAR/WAW hazards as real edges (ablation).
 	DisableRenaming bool
-	// LegacyRenaming restores the seed runtime's rename lifecycle: a
-	// fresh heap allocation per rename, superseded versions abandoned
-	// to the garbage collector, and renamed bytes accounted against
-	// the owning task instead of against live storage.  Kept as the
-	// measured baseline for the ablation-rename experiment.
-	LegacyRenaming bool
 	// GraphLimit bounds the number of open (submitted, not completed)
 	// tasks before Submit throttles.  Zero selects DefaultGraphLimit;
 	// negative disables throttling.
@@ -84,10 +74,6 @@ type Config struct {
 	// power of two); one degenerates to a single global mutex — the
 	// ablation baseline.
 	TrackerShards int
-	// LegacyWakeup replaces the per-worker parking protocol with the
-	// seed's global mutex+condvar (broadcast on every push while anyone
-	// sleeps) — the pre-overhaul wake machinery, kept as an ablation.
-	LegacyWakeup bool
 	// MemoryLimit bounds the bytes of renamed storage belonging to
 	// tasks that have not completed yet; when exceeded, the submitting
 	// thread executes tasks until renamed memory is released — the
@@ -114,7 +100,6 @@ func (cfg Config) contextConfig() ContextConfig {
 		Scheduler:       cfg.Scheduler,
 		Locality:        cfg.Locality,
 		DisableRenaming: cfg.DisableRenaming,
-		LegacyRenaming:  cfg.LegacyRenaming,
 		GraphLimit:      cfg.GraphLimit,
 		TrackerShards:   cfg.TrackerShards,
 		MemoryLimit:     cfg.MemoryLimit,
@@ -189,11 +174,7 @@ func New(cfg Config) *Runtime {
 	cfg.Workers = resolveWorkers(cfg.Workers)
 	// One submitter slot (the main thread, worker 0) plus Workers-1
 	// dedicated workers reproduces the seed's thread layout exactly.
-	pool := newPool(PoolConfig{
-		Workers:      cfg.Workers - 1,
-		MaxContexts:  1,
-		LegacyWakeup: cfg.LegacyWakeup,
-	})
+	pool := newPool(PoolConfig{Workers: cfg.Workers - 1, MaxContexts: 1})
 	ctx, err := pool.NewContext(cfg.contextConfig())
 	if err != nil {
 		// A fresh single-slot pool cannot refuse its first context.
@@ -251,35 +232,6 @@ func (rt *Runtime) Submit(def *TaskDef, args ...Arg) {
 	rt.ctx.Submit(def, args...)
 }
 
-// SubmitBatch submits a sequence of task invocations, equivalent to
-// calling Submit once per element but with the per-call overhead
-// amortized: the closed-runtime check happens once.  Producers with
-// tight submission loops — blocked linear algebra, parameter sweeps —
-// use it to keep the main thread ahead of the workers.
-//
-// Tasks are analyzed in slice order, so dependencies between tasks of
-// the same batch resolve exactly as they would across separate Submit
-// calls, and each task is released to the scheduler as soon as its own
-// analysis completes (earlier batch elements can be executing while
-// later ones are still being analyzed).
-func (rt *Runtime) SubmitBatch(calls ...TaskCall) {
-	if rt.ctx.Closed() {
-		panic("core: SubmitBatch on closed runtime")
-	}
-	//lint:allow submiterr void seed API like css_submit; refusal surfaces via Err at the barrier
-	rt.ctx.SubmitBatch(calls...)
-}
-
-// TaskCall is one deferred task invocation: a definition plus its bound
-// arguments, the unit of SubmitBatch.
-type TaskCall struct {
-	Def  *TaskDef
-	Args []Arg
-}
-
-// Call builds a TaskCall for SubmitBatch.
-func Call(def *TaskDef, args ...Arg) TaskCall { return TaskCall{Def: def, Args: args} }
-
 // batchCall is one recorded invocation inside a Batch: the definition
 // plus the span of the batch's argument arena holding its arguments.
 type batchCall struct {
@@ -289,9 +241,10 @@ type batchCall struct {
 
 // Batch accumulates task invocations and submits them in one go,
 // reusing its internal storage across rounds so a steady submission
-// loop allocates nothing per task.  It is the allocation-free form of
-// SubmitBatch: Call/TaskCall values each carry their own argument
-// slice, while Batch.Add copies arguments into one growing arena.
+// loop allocates nothing per task: Batch.Add copies arguments into one
+// growing arena.  Producers with tight submission loops — blocked linear
+// algebra, parameter sweeps — use it to keep the main thread ahead of
+// the workers.
 //
 // A Batch belongs to its context's submitting thread (the SMPSs model
 // is single-submitter) and must not be shared.
@@ -324,9 +277,14 @@ func (b *Batch) Add(def *TaskDef, args ...Arg) {
 func (b *Batch) Len() int { return len(b.calls) }
 
 // Submit submits every recorded invocation in order and resets the
-// batch for reuse.  Semantics match SubmitBatch, including the
-// ClosedError on a closed context and the CanceledError on a canceled
-// one (nothing is submitted then, but the batch is still reset).
+// batch for reuse, equivalent to calling Submit once per invocation with
+// the admission check paid once.  Dependencies between tasks of the same
+// batch resolve exactly as they would across separate Submit calls, and
+// each task is released to the scheduler as soon as its own analysis
+// completes (earlier elements can be executing while later ones are
+// still being analyzed).  A closed context refuses with a ClosedError
+// and a canceled one with its CanceledError (nothing is submitted then,
+// but the batch is still reset).
 func (b *Batch) Submit() error {
 	c := b.c
 	if b.panicClosed && c.Closed() {

@@ -68,9 +68,6 @@ type taskRec struct {
 	// args starts out backed by arg0 and keeps whatever backs it, a
 	// spill included, across the record's lives.
 	args []boundArg
-	// renamedBytes is the storage this task's renamed parameters pin
-	// until it completes (accounted against Config.MemoryLimit).
-	renamedBytes int64
 	// body is what the task body receives; it lives here because the
 	// pointer handed to TaskDef.Fn escapes.
 	body  Args

@@ -1,6 +1,8 @@
 package cssc
 
 import (
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -331,4 +333,30 @@ func TestPragmaCommentRoundTrip(t *testing.T) {
 			t.Fatalf("pragma comment %q missing %q", c, want)
 		}
 	}
+}
+
+// FuzzCsscParse: the front end takes source text from outside the
+// program, so Parse and Translate never panic and every error they
+// return names the line it is about.
+func FuzzCsscParse(f *testing.F) {
+	for _, path := range []string{"testdata/golden.css", "../gentasks/decls.css"} {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	f.Add("#pragma css task input(a{0..n}) inout(b[4]) highpriority\nvoid t(float a[8], float *b, int n);\n")
+	f.Add("int main() {\n#pragma css wait on(x, y[3])\n#pragma css mutex lock(m)\n\tt(a, b);\n}\n")
+	f.Add("#pragma css task input(a{)\nvoid t(float a[")
+	f.Add("/* unterminated")
+	positioned := regexp.MustCompile(`^cssc: line [0-9]+: `)
+	f.Fuzz(func(t *testing.T, src string) {
+		if _, err := Parse(src); err != nil && !positioned.MatchString(err.Error()) {
+			t.Fatalf("Parse error without a position: %v", err)
+		}
+		if _, _, err := Translate(src); err != nil && !positioned.MatchString(err.Error()) {
+			t.Fatalf("Translate error without a position: %v", err)
+		}
+	})
 }

@@ -48,10 +48,10 @@ func TestTranslateDirectives(t *testing.T) {
 	}
 }
 
-// TestTranslateTaskCalls checks the Fig. 1 pattern: the pragma line is
+// TestTranslateCallSites checks the Fig. 1 pattern: the pragma line is
 // dropped, the prototype stays (sequential fallback), and statement
 // calls become css_submit_ adapters.
-func TestTranslateTaskCalls(t *testing.T) {
+func TestTranslateCallSites(t *testing.T) {
 	src := `#pragma css task input(a, b) inout(c)
 void sgemm_t(float a[M][M], float b[M][M], float c[M][M]);
 

@@ -283,40 +283,6 @@ func TestPoolInvariantsConcurrent(t *testing.T) {
 	}
 }
 
-// TestLegacyRenamingMatchesSeed: under LegacyRenaming the tracker must
-// behave exactly like the seed — fresh allocations, no pool traffic, no
-// live-byte accounting — while preserving rename semantics.
-func TestLegacyRenamingMatchesSeed(t *testing.T) {
-	h := newHarness()
-	h.tr.LegacyRenaming = true
-	x := []float32{1, 2, 3, 4}
-	w1, res1 := h.task(f32Access(x, ModeOut))
-	r1, _ := h.task(f32Access(x, ModeIn))
-	w2, res2 := h.task(f32Access(x, ModeOut))
-	if !res2[0].Renamed {
-		t.Fatalf("legacy mode must still rename over pending readers")
-	}
-	if ptrOf(res2[0].Instance) == ptrOf(res1[0].Instance) {
-		t.Fatalf("legacy rename must allocate distinct storage")
-	}
-	h.g.Complete(w1, 0)
-	h.g.Complete(r1, 0)
-	h.g.Complete(w2, 0)
-	st := h.tr.Stats()
-	if st.Renames != 1 || st.PoolHits != 0 || st.PoolMisses != 0 || st.RenamesElided != 0 {
-		t.Fatalf("legacy stats = %+v, want 1 rename and no pool/elision traffic", st)
-	}
-	if live := h.tr.LiveRenamedBytes(); live != 0 {
-		t.Fatalf("legacy mode must not account live renamed bytes, got %d", live)
-	}
-	if n := h.tr.SyncAll(); n != 1 {
-		t.Fatalf("legacy SyncAll = %d, want 1", n)
-	}
-	if x[0] != 0 { // w2's version was never written; instance zeroed by Alloc
-		t.Fatalf("sync-back must restore the current version's contents")
-	}
-}
-
 // TestPoisonTravelsThroughVersion: a reader or inout analyzed after the
 // poisoned writer of its version completed is tainted from what the
 // completion recorded in the version; an Out overwrite starts clean.

@@ -91,17 +91,15 @@ type Resolution struct {
 // version is one single-assignment instance of an object.  Versions form
 // a chain: each write (out/inout) opens a new one.
 //
-// In the default (pooled) lifecycle each version is reference-counted:
-// refs holds one count while the version is the object's current
-// version, one while its producer is pending, one per live reader and
-// one per renamed-inout successor that still has to copy from it.  The
-// tasks' references are holds on their graph nodes (graph.Holder),
-// counted down the moment each task finishes; when a *retired*
-// (superseded, synced or forgotten) version drains to zero it dies:
-// pooled storage it owns returns to the tracker's recycling pool and
-// the version itself to its shard's free list.  Under LegacyRenaming
-// no version is ever retired and superseded versions are abandoned to
-// the garbage collector, as in the seed runtime.
+// Each version is reference-counted: refs holds one count while the
+// version is the object's current version, one while its producer is
+// pending, one per live reader and one per renamed-inout successor that
+// still has to copy from it.  The tasks' references are holds on their
+// graph nodes (graph.Holder), counted down the moment each task
+// finishes; when a *retired* (superseded, synced or forgotten) version
+// drains to zero it dies: pooled storage it owns returns to the
+// tracker's recycling pool and the version itself to its shard's free
+// list.
 type version struct {
 	// sh is the shard of the version's object, which recycles it.
 	sh *shard
@@ -115,9 +113,9 @@ type version struct {
 	written    bool
 	executedBy int32 // worker that completed the producer, or -1
 	poisoned   bool  // the producer completed poisoned: readers run on garbage
-	// readers are tasks reading this version.  The pooled lifecycle
-	// needs the list only to materialize WAR edges (DisableRenaming)
-	// and to seed a region flip; hazard detection uses nreaders.
+	// readers are tasks reading this version.  The list is needed only
+	// to materialize WAR edges (DisableRenaming) and to seed a region
+	// flip; hazard detection uses nreaders.
 	readers []graph.Ref
 	// instance is the effective storage of this version.
 	instance any
@@ -360,13 +358,6 @@ type Tracker struct {
 	// WAR/WAW edges.  Used by the ablation benchmarks.
 	DisableRenaming bool
 
-	// LegacyRenaming restores the seed runtime's rename lifecycle: a
-	// fresh heap allocation per rename, hazard checks by lazy Done()
-	// scans over reader lists, and superseded versions abandoned to the
-	// garbage collector.  Kept as the measured baseline for the
-	// ablation-rename experiment.  Must be set before the first access.
-	LegacyRenaming bool
-
 	// AffinityHints makes analysis record on each task node the worker
 	// that produced the version it accesses, when that producer has
 	// already completed: the scheduler's cue for placing a task that is
@@ -448,7 +439,6 @@ func (t *Tracker) ShareStorage(st *Storage) { t.pool.Share(st) }
 
 // LiveRenamedBytes returns the bytes of renamed storage currently
 // acquired and not yet reclaimed — the runtime's memory-limit gauge.
-// Always zero under LegacyRenaming (the seed accounts per task instead).
 func (t *Tracker) LiveRenamedBytes() int64 { return t.pool.LiveBytes() }
 
 // SetReclaimHook registers f to run whenever renamed storage is
@@ -511,17 +501,6 @@ func (t *Tracker) analyzeLocked(sh *shard, node *graph.Node, a *Access) Resoluti
 	obj := sh.lookup(a)
 	if obj.hist != nil || !a.Region.IsFull() {
 		return t.analyzeRegion(sh, node, obj, a)
-	}
-	if t.LegacyRenaming {
-		switch a.Mode {
-		case ModeIn:
-			return t.analyzeInLegacy(sh, node, obj)
-		case ModeOut:
-			return t.analyzeOutLegacy(sh, node, obj, a)
-		case ModeInOut:
-			return t.analyzeInOutLegacy(sh, node, obj, a)
-		}
-		panic("deps: invalid access mode")
 	}
 	switch a.Mode {
 	case ModeIn:
@@ -679,65 +658,6 @@ func (t *Tracker) analyzeInOut(sh *shard, node *graph.Node, obj *object, a *Acce
 		sh.stats.RenamesElided++
 	}
 	t.supersede(obj, v, sh.newVersion(node, res.Instance), renamed, bytes)
-	return res
-}
-
-// analyzeInLegacy is the seed runtime's read path: reader liveness by
-// lazy Done() scans, no reference counting.
-func (t *Tracker) analyzeInLegacy(sh *shard, node *graph.Node, obj *object) Resolution {
-	v := obj.cur
-	t.trueDep(sh, node, v)
-	t.hintAffinity(node, v)
-	v.pruneReaders()
-	v.readers = append(v.readers, node.Ref())
-	return Resolution{Instance: v.instance}
-}
-
-// analyzeOutLegacy is the seed runtime's output path: a fresh Alloc()
-// per rename, superseded versions left to the garbage collector.
-func (t *Tracker) analyzeOutLegacy(sh *shard, node *graph.Node, obj *object, a *Access) Resolution {
-	v := obj.cur
-	v.pruneReaders()
-	hazard := v.producerPending() || len(v.readers) > 0
-	res := Resolution{Instance: v.instance}
-	if hazard {
-		if t.DisableRenaming {
-			t.falseEdges(sh, node, v, true)
-		} else {
-			res.Instance = a.alloc()
-			res.Renamed = true
-			obj.diverged = true
-			sh.stats.Renames++
-		}
-	}
-	if !res.Renamed {
-		t.hintAffinity(node, v) // in-place write only; see analyzeOut
-	}
-	obj.cur = sh.newVersion(node, res.Instance)
-	return res
-}
-
-// analyzeInOutLegacy is the seed runtime's inout path.
-func (t *Tracker) analyzeInOutLegacy(sh *shard, node *graph.Node, obj *object, a *Access) Resolution {
-	v := obj.cur
-	v.pruneReaders()
-	res := Resolution{Instance: v.instance}
-	t.trueDep(sh, node, v) // RAW: the task reads the old value
-	t.hintAffinity(node, v)
-	if len(v.readers) > 0 {
-		if t.DisableRenaming {
-			t.falseEdges(sh, node, v, false)
-		} else {
-			res.Instance = a.alloc()
-			res.CopyFrom = v.instance
-			res.Copy = a.Copy
-			res.Renamed = true
-			obj.diverged = true
-			sh.stats.Renames++
-			sh.stats.RenameCopies++
-		}
-	}
-	obj.cur = sh.newVersion(node, res.Instance)
 	return res
 }
 
@@ -912,9 +832,7 @@ func (t *Tracker) SyncAll() int {
 	}
 	for _, w := range work {
 		w.copier(w.dst, w.src)
-		if !t.LegacyRenaming {
-			w.old.retire()
-		}
+		w.old.retire()
 	}
 	return len(work)
 }
@@ -933,12 +851,10 @@ func (t *Tracker) syncLocked(sh *shard, obj *object) bool {
 	old := obj.cur
 	obj.cur = sh.newVersion(nil, obj.original)
 	obj.diverged = false
-	if !t.LegacyRenaming {
-		// Any late readers of the superseded renamed instance still
-		// hold references; the pool gets the instance back only when
-		// the last of them completes.
-		old.retire()
-	}
+	// Any late readers of the superseded renamed instance still hold
+	// references; the pool gets the instance back only when the last of
+	// them completes.
+	old.retire()
 	return true
 }
 
@@ -960,10 +876,7 @@ func (t *Tracker) Forget(key uintptr) {
 	obj := sh.objects[key]
 	delete(sh.objects, key)
 	sh.mu.Unlock()
-	if obj == nil {
-		return
-	}
-	if !t.LegacyRenaming {
+	if obj != nil {
 		obj.cur.retire()
 	}
 }

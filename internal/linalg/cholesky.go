@@ -17,7 +17,7 @@ import (
 // The dependency complexity is high even for few blocks (Fig. 5 shows
 // the 6×6 graph: 56 tasks), and the runtime extracts all of it.  Each
 // j-step's tasks are submitted as one batch, so the O(n²) inner loops
-// enter the dependency tracker through the amortized SubmitBatch path.
+// enter the dependency tracker through the amortized Batch path.
 func (al *Algos) CholeskyDense(a *hypermatrix.Matrix) {
 	n := a.N
 	b := al.rt.NewBatch()

@@ -6,11 +6,11 @@ import (
 )
 
 // submiterr enforces the PR 4 review-bug class: a call to an in-module
-// Submit/SubmitBatch that returns an error must not discard it.  A
-// dropped Submit error silently no-ops the work — a closed or canceled
-// context refuses the task, the caller barriers on nothing, and the
-// "result" is whatever stale memory held, which is how a factorization
-// once went missing in review.
+// Submit (Context.Submit, Batch.Submit, a hosted model's) that returns
+// an error must not discard it.  A dropped Submit error silently no-ops
+// the work — a closed or canceled context refuses the task, the caller
+// barriers on nothing, and the "result" is whatever stale memory held,
+// which is how a factorization once went missing in review.
 //
 // Flagged forms: a bare call statement, `go`/`defer` of the call, and
 // an assignment that blanks the error result.  Only non-test files are
@@ -18,17 +18,17 @@ import (
 func init() {
 	Register(&Analyzer{
 		Name: "submiterr",
-		Doc:  "errors returned by Submit/SubmitBatch must not be discarded",
+		Doc:  "errors returned by Submit must not be discarded",
 		Run:  runSubmitErr,
 	})
 }
 
 // submitErrCallee reports whether call invokes an in-module function
-// or method named Submit/SubmitBatch whose last result is an error,
+// or method named Submit whose last result is an error,
 // returning a printable name.
 func submitErrCallee(pass *Pass, call *ast.CallExpr) (string, bool) {
 	fn := calleeFunc(pass.Unit.Info, call)
-	if fn == nil || fn.Name() != "Submit" && fn.Name() != "SubmitBatch" {
+	if fn == nil || fn.Name() != "Submit" {
 		return "", false
 	}
 	if !inModulePkg(pass.Prog, fn.Pkg()) {

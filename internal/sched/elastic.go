@@ -57,14 +57,6 @@ func (s *ActiveSet) Count(lo, hi int) int {
 	return n
 }
 
-// evicter is the optional Policy extension a retiring worker's eviction
-// uses: spill worker w's per-worker queue back to the shared injector
-// and return how many tasks moved.  Policies without per-worker queues
-// need not implement it.
-type evicter interface {
-	Evict(w int) int
-}
-
 // Evict spills worker w's deque into the injector, preserving the FIFO
 // order a thief would have seen, and returns the number of tasks moved.
 // Called when worker w retires so its queued tasks reach workers that
@@ -80,24 +72,7 @@ func (s *Locality) Evict(w int) int {
 	return len(nodes)
 }
 
-// Evict spills worker w's legacy list into the main queue (FIFO order
-// preserved) and returns the count.
-func (s *ListLocality) Evict(w int) int {
-	if w < 0 || w >= len(s.own) {
-		return 0
-	}
-	moved := 0
-	for {
-		n := s.own[w].popFront()
-		if n == nil {
-			return moved
-		}
-		s.main.pushBack(n)
-		moved++
-	}
-}
-
-// Evict on the central-queue ablation policy is a no-op: there are no
+// Evict on the central-queue policy is a no-op: there are no
 // per-worker queues to strand tasks in.
 func (s *GlobalFIFO) Evict(w int) int { return 0 }
 
@@ -114,55 +89,34 @@ func (d *deque) drainAll(dst []*graph.Node) []*graph.Node {
 	return dst
 }
 
-// evict runs Evict across every attached client's policy.
-func (b *muxBase) evict(w int) int {
+// Evict spills worker w's per-client queues back to the shared
+// injectors, so a retiring worker strands no tasks; returns the number
+// of tasks moved.
+func (m *TokenMux) Evict(w int) int {
 	total := 0
-	for _, c := range *b.clients.Load() {
-		if ev, ok := c.policy.(evicter); ok {
-			total += ev.Evict(w)
-		}
+	for _, c := range *m.clients.Load() {
+		total += c.policy.Evict(w)
 	}
 	return total
 }
 
-// load sums the in-flight gauges of every attached client — the queue
+// Load sums the in-flight gauges of every attached client — the queue
 // depth the elastic pool's scaling controller samples.  Approximate
 // under concurrency, exact at rest.
-func (b *muxBase) load() int64 {
+func (m *TokenMux) Load() int64 {
 	var total int64
-	for _, c := range *b.clients.Load() {
+	for _, c := range *m.clients.Load() {
 		total += c.queued.Load()
 	}
 	return total
 }
 
-// Evict implements Mux: spill worker w's per-client queues back to the
-// shared injectors so a retiring worker strands no tasks.
-func (m *TokenMux) Evict(w int) int { return m.evict(w) }
-
-// Load implements Mux: total queued tasks across all clients.
-func (m *TokenMux) Load() int64 { return m.load() }
-
-// Nudge implements Mux: if any client has queued work, unpark one idle
-// worker.  A retiring worker calls it after evicting its deque — its
-// own pending wake token (if a push targeted it in the retirement
-// window) dies with it, so the nudge re-arms the wake protocol.
+// Nudge unparks one idle worker if any client has queued work.  A
+// retiring worker calls it after evicting its deque — its own pending
+// wake token (if a push targeted it in the retirement window) dies with
+// it, so the nudge re-arms the wake protocol.
 func (m *TokenMux) Nudge() {
 	if m.active.Load() > 0 {
 		m.unparkOne()
-	}
-}
-
-// Evict implements Mux.
-func (m *CondvarMux) Evict(w int) int { return m.evict(w) }
-
-// Load implements Mux.
-func (m *CondvarMux) Load() int64 { return m.load() }
-
-// Nudge implements Mux: the legacy protocol has no targeted wake, so
-// any nudge is a broadcast.
-func (m *CondvarMux) Nudge() {
-	if m.active.Load() > 0 {
-		m.Kick()
 	}
 }

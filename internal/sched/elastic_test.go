@@ -112,21 +112,6 @@ func TestEvictSpillsToInjector(t *testing.T) {
 	}
 }
 
-// TestEvictListLocality: the legacy policy spills its per-worker list
-// to the main queue.
-func TestEvictListLocality(t *testing.T) {
-	s := NewListLocality(4)
-	s.Push(mkNode(1, false), 2)
-	s.Push(mkNode(2, false), 2)
-	if moved := s.Evict(2); moved != 2 {
-		t.Fatalf("Evict moved %d, want 2", moved)
-	}
-	n := s.TryNext(3)
-	if n == nil || n.ID != 1 {
-		t.Fatalf("after evict got %v, want node 1 from main", n)
-	}
-}
-
 // TestAffinityRedirectToGroup: an affinity hint to a retired worker
 // lands on an active worker in the same topology group, not on the dead
 // deque and not on the injector.

@@ -11,15 +11,17 @@ import (
 // This file is the multi-tenant dispatch layer: one shared set of worker
 // threads serving many independent task graphs.  Each runtime context
 // registers a Client — its own scheduling Policy plus in-flight
-// accounting — with a Mux, which multiplexes every client's ready tasks
-// over the pool's workers.  Workers scan the clients round-robin from a
-// per-worker cursor, so one context with a deep backlog cannot starve
-// the rest, while within a context the policy's locality order (high
-// list, own deque, injector, steal-half) is preserved unchanged.
+// accounting — with the pool's TokenMux, which multiplexes every
+// client's ready tasks over the pool's workers.  Workers scan the
+// clients round-robin from a per-worker cursor, so one context with a
+// deep backlog cannot starve the rest, while within a context the
+// policy's locality order (high list, own deque, injector, steal-half)
+// is preserved unchanged.
 
-// Client is one context's share of a Mux: its scheduling policy, its
-// submitter's worker identity, and the count of tasks currently queued.
-// A Client belongs to exactly one context and is created by Mux.Attach.
+// Client is one context's share of a TokenMux: its scheduling policy,
+// its submitter's worker identity, and the count of tasks currently
+// queued.  A Client belongs to exactly one context and is created by
+// TokenMux.Attach.
 type Client struct {
 	policy Policy
 	slot   int
@@ -51,57 +53,9 @@ func (c *Client) Queued() int64 { return c.queued.Load() }
 func (c *Client) Stats() Stats { return c.policy.Stats() }
 
 // HighPending reports whether the client's policy has high-priority
-// work queued; policies without a high-priority lane report false.  The
-// runtime's successor chaining consults it so an inline chain never
-// outruns a waiting high-priority task.
-func (c *Client) HighPending() bool {
-	if hp, ok := c.policy.(interface{ HighPending() bool }); ok {
-		return hp.HighPending()
-	}
-	return false
-}
-
-// Mux dispatches ready tasks from many Clients to one shared set of
-// workers.  Two implementations exist: TokenMux, the per-worker parking
-// protocol, and CondvarMux, the seed's global condvar generalized to
-// many clients (the LegacyWakeup ablation).
-type Mux interface {
-	// Attach registers a context's policy; slot is its submitter's
-	// worker identity (used for targeted cancel-condition wakes).
-	Attach(p Policy, slot int) *Client
-	// Detach removes a client.  The caller must have drained the
-	// client's queue (a closing context barriers first).
-	Detach(c *Client)
-	// Push queues a ready task of client c.  releasedBy is the worker
-	// whose completion made it ready, or graph.MainThread.
-	Push(c *Client, n *graph.Node, releasedBy int)
-	// Get returns the next task for worker self, parking until one
-	// arrives; nil when cancel() reports true or after Close.  When
-	// only is non-nil the worker takes tasks exclusively from that
-	// client — the restricted mode a context's submitter uses while it
-	// blocks, so helping out never executes another tenant's work (and
-	// a barrier in one context never waits on another's task bodies).
-	Get(self int, only *Client, cancel func() bool) *graph.Node
-	// Wake nudges worker slot to re-evaluate its cancel condition.
-	Wake(slot int)
-	// Kick wakes every parked worker.
-	Kick()
-	// Close wakes everyone; subsequent Gets return nil once drained.
-	Close()
-	// Stats returns the mux-level parking counters.  Policy counters
-	// live on the clients.
-	Stats() Stats
-	// Evict spills worker w's per-client queues back to the shared
-	// injectors (a retiring worker must strand no tasks); returns the
-	// number of tasks moved.
-	Evict(w int) int
-	// Nudge unparks one idle worker if any client has queued work —
-	// the elastic pool's re-arm after a retirement or grow.
-	Nudge()
-	// Load returns the total queued tasks across all clients, the
-	// depth gauge the scaling controller samples.
-	Load() int64
-}
+// work queued.  The runtime's successor chaining consults it so an
+// inline chain never outruns a waiting high-priority task.
+func (c *Client) HighPending() bool { return c.policy.HighPending() }
 
 // muxCursor is one worker's round-robin position over the client list,
 // padded so neighbouring workers' cursors do not false-share a line.
@@ -110,9 +64,12 @@ type muxCursor struct {
 	_ [60]byte
 }
 
-// muxBase carries the client registry and the fair-scan logic shared by
-// both Mux implementations.
-type muxBase struct {
+// TokenMux dispatches ready tasks from many Clients to one shared set of
+// workers under a per-worker one-token parking protocol.  A push hands
+// exactly one token to one idle worker; a context's parked submitter is
+// tracked on its Client (not the idle stack) and woken only by its own
+// context's pushes and targeted Wakes.
+type TokenMux struct {
 	// clients is a copy-on-write snapshot so the worker scan never takes
 	// a lock; cmu serializes Attach/Detach.
 	clients atomic.Pointer[[]*Client]
@@ -124,97 +81,6 @@ type muxBase struct {
 	// tenant has queued work the releasing worker's round-robin scan
 	// could serve first.
 	active atomic.Int64
-}
-
-// enqueue bumps the client's in-flight gauge, tracking the
-// zero-crossing in the active-client count.
-func (b *muxBase) enqueue(c *Client) {
-	if c.queued.Add(1) == 1 {
-		b.active.Add(1)
-	}
-}
-
-// dequeue is enqueue's inverse, called when a lookup pops a task.
-func (b *muxBase) dequeue(c *Client) {
-	if c.queued.Add(-1) == 0 {
-		b.active.Add(-1)
-	}
-}
-
-func (b *muxBase) init(nslots int) {
-	empty := make([]*Client, 0)
-	b.clients.Store(&empty)
-	b.cursor = make([]muxCursor, nslots)
-}
-
-func (b *muxBase) attach(p Policy, slot int) *Client {
-	c := &Client{policy: p, slot: slot}
-	b.cmu.Lock()
-	old := *b.clients.Load()
-	next := make([]*Client, len(old)+1)
-	copy(next, old)
-	next[len(old)] = c
-	b.clients.Store(&next)
-	b.cmu.Unlock()
-	return c
-}
-
-func (b *muxBase) detach(c *Client) {
-	b.cmu.Lock()
-	old := *b.clients.Load()
-	next := make([]*Client, 0, len(old))
-	for _, x := range old {
-		if x != c {
-			next = append(next, x)
-		}
-	}
-	b.clients.Store(&next)
-	b.cmu.Unlock()
-}
-
-// tryNext finds a task for worker self.  Restricted lookups poll only
-// the given client; unrestricted lookups scan every client round-robin
-// starting at the worker's cursor, which then advances past the served
-// client so successive lookups rotate fairly across tenants.  With a
-// single attached client the scan degenerates to exactly the
-// single-runtime lookup.
-func (b *muxBase) tryNext(self int, only *Client) *graph.Node {
-	if only != nil {
-		if only.queued.Load() == 0 {
-			return nil
-		}
-		if n := only.policy.TryNext(self); n != nil {
-			b.dequeue(only)
-			return n
-		}
-		return nil
-	}
-	cs := *b.clients.Load()
-	if len(cs) == 0 {
-		return nil
-	}
-	start := int(b.cursor[self].v) % len(cs)
-	for i := 0; i < len(cs); i++ {
-		c := cs[(start+i)%len(cs)]
-		if c.queued.Load() == 0 {
-			continue
-		}
-		if n := c.policy.TryNext(self); n != nil {
-			b.dequeue(c)
-			b.cursor[self].v = uint32((start + i + 1) % len(cs))
-			return n
-		}
-	}
-	return nil
-}
-
-// TokenMux is the default Mux: the per-worker one-token parking protocol
-// of the work-stealing overhaul, extended with the client registry.  A
-// push hands exactly one token to one idle worker; a context's parked
-// submitter is tracked on its Client (not the idle stack) and woken
-// only by its own context's pushes and targeted Wakes.
-type TokenMux struct {
-	muxBase
 
 	// parker[w] holds at most one wake token for worker w.
 	parker []chan struct{}
@@ -237,27 +103,103 @@ func NewTokenMux(nslots int) *TokenMux {
 		nslots = 1
 	}
 	m := &TokenMux{
+		cursor: make([]muxCursor, nslots),
 		parker: make([]chan struct{}, nslots),
 		inIdle: make([]atomic.Bool, nslots),
 		idle:   make([]int, 0, nslots),
 	}
-	m.muxBase.init(nslots)
+	m.clients.Store(new([]*Client))
 	for i := range m.parker {
 		m.parker[i] = make(chan struct{}, 1)
 	}
 	return m
 }
 
-// Attach implements Mux.
-func (m *TokenMux) Attach(p Policy, slot int) *Client { return m.attach(p, slot) }
+// Attach registers a context's policy; slot is its submitter's worker
+// identity (used for targeted cancel-condition wakes).
+func (m *TokenMux) Attach(p Policy, slot int) *Client {
+	c := &Client{policy: p, slot: slot}
+	m.cmu.Lock()
+	old := *m.clients.Load()
+	next := make([]*Client, len(old)+1)
+	copy(next, old)
+	next[len(old)] = c
+	m.clients.Store(&next)
+	m.cmu.Unlock()
+	return c
+}
 
-// Detach implements Mux.
-func (m *TokenMux) Detach(c *Client) { m.detach(c) }
+// Detach removes a client.  The caller must have drained the client's
+// queue (a closing context barriers first).
+func (m *TokenMux) Detach(c *Client) {
+	m.cmu.Lock()
+	old := *m.clients.Load()
+	next := make([]*Client, 0, len(old))
+	for _, x := range old {
+		if x != c {
+			next = append(next, x)
+		}
+	}
+	m.clients.Store(&next)
+	m.cmu.Unlock()
+}
 
-// Push implements Mux: the task is queued on the client's policy and, if
-// the policy asks for a wake, one idle worker is unparked and the
-// client's parked submitter (if any) is handed a token too — with zero
-// dedicated workers the submitter is the only thread that can execute.
+// enqueue bumps the client's in-flight gauge, tracking the
+// zero-crossing in the active-client count.
+func (m *TokenMux) enqueue(c *Client) {
+	if c.queued.Add(1) == 1 {
+		m.active.Add(1)
+	}
+}
+
+// dequeue is enqueue's inverse, called when a lookup pops a task.
+func (m *TokenMux) dequeue(c *Client) {
+	if c.queued.Add(-1) == 0 {
+		m.active.Add(-1)
+	}
+}
+
+// tryNext finds a task for worker self.  Restricted lookups poll only
+// the given client; unrestricted lookups scan every client round-robin
+// starting at the worker's cursor, which then advances past the served
+// client so successive lookups rotate fairly across tenants.  With a
+// single attached client the scan degenerates to exactly the
+// single-runtime lookup.
+func (m *TokenMux) tryNext(self int, only *Client) *graph.Node {
+	if only != nil {
+		if only.queued.Load() == 0 {
+			return nil
+		}
+		if n := only.policy.TryNext(self); n != nil {
+			m.dequeue(only)
+			return n
+		}
+		return nil
+	}
+	cs := *m.clients.Load()
+	if len(cs) == 0 {
+		return nil
+	}
+	start := int(m.cursor[self].v) % len(cs)
+	for i := 0; i < len(cs); i++ {
+		c := cs[(start+i)%len(cs)]
+		if c.queued.Load() == 0 {
+			continue
+		}
+		if n := c.policy.TryNext(self); n != nil {
+			m.dequeue(c)
+			m.cursor[self].v = uint32((start + i + 1) % len(cs))
+			return n
+		}
+	}
+	return nil
+}
+
+// Push queues a ready task of client c; releasedBy is the worker whose
+// completion made it ready, or graph.MainThread.  If the policy asks for
+// a wake, one idle worker is unparked and the client's parked submitter
+// (if any) is handed a token too — with zero dedicated workers the
+// submitter is the only thread that can execute.
 func (m *TokenMux) Push(c *Client, n *graph.Node, releasedBy int) {
 	m.enqueue(c)
 	// Read before the policy has the node: from then on another worker
@@ -389,8 +331,13 @@ func (m *TokenMux) leave(self int, only *Client) {
 	m.retire(self)
 }
 
-// Get implements Mux.  The parking protocol is announce → recheck →
-// park: a push after the recheck is guaranteed to observe the
+// Get returns the next task for worker self, parking until one arrives;
+// nil when cancel() reports true or after Close.  When only is non-nil
+// the worker takes tasks exclusively from that client — the restricted
+// mode a context's submitter uses while it blocks, so helping out never
+// executes another tenant's work (and a barrier in one context never
+// waits on another's task bodies).  The parking protocol is announce →
+// recheck → park: a push after the recheck is guaranteed to observe the
 // announcement (the idle stack for unrestricted workers, the client's
 // waiting flag for a restricted submitter) and deliver a token, so no
 // wakeup is lost.
@@ -478,11 +425,11 @@ func (m *TokenMux) wakeIdle(slot int) bool {
 	return idle
 }
 
-// Wake implements Mux: a targeted nudge so worker slot re-evaluates its
-// cancel condition.  An unrestricted idle worker is popped off the idle
-// stack; otherwise the token is delivered directly — that is how a
-// context's parked submitter (which never joins the idle stack) is
-// woken by its completions and its tracker's reclaim hook.
+// Wake is a targeted nudge so worker slot re-evaluates its cancel
+// condition.  An unrestricted idle worker is popped off the idle stack;
+// otherwise the token is delivered directly — that is how a context's
+// parked submitter (which never joins the idle stack) is woken by its
+// completions and its tracker's reclaim hook.
 func (m *TokenMux) Wake(slot int) {
 	if slot < 0 || slot >= len(m.parker) {
 		return
@@ -492,8 +439,8 @@ func (m *TokenMux) Wake(slot int) {
 	}
 }
 
-// Kick implements Mux: every parked worker — idle stack and restricted
-// submitters alike — re-evaluates its cancel condition.
+// Kick wakes every parked worker — idle stack and restricted submitters
+// alike — to re-evaluate its cancel condition.
 func (m *TokenMux) Kick() {
 	m.mu.Lock()
 	woken := append([]int(nil), m.idle...)
@@ -514,125 +461,15 @@ func (m *TokenMux) Kick() {
 	}
 }
 
-// Close implements Mux.
+// Close wakes everyone; subsequent Gets return nil once drained.
 func (m *TokenMux) Close() {
 	m.closed.Store(true)
 	m.Kick()
 }
 
-// Stats implements Mux: the parking counters.  These are pool-wide —
-// parking is shared machinery — so they are reported here rather than
-// on any client.
+// Stats returns the parking counters.  These are pool-wide — parking
+// is shared machinery — so they are reported here rather than on any
+// client; policy counters live on the clients.
 func (m *TokenMux) Stats() Stats {
 	return Stats{Parks: m.parks.Load(), Unparks: m.unparks.Load()}
 }
-
-// CondvarMux is the legacy wake machinery generalized to many clients:
-// one global mutex+condvar and a Broadcast on every push while any
-// worker sleeps (the thundering herd the TokenMux replaces).  Kept so
-// the LegacyWakeup ablation measures the old protocol under the shared
-// pool too.
-type CondvarMux struct {
-	muxBase
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	version uint64
-	closed  bool
-	// sleepers counts workers parked (or about to park) in Get; Push
-	// skips the lock and broadcast entirely while it is zero.
-	sleepers atomic.Int64
-}
-
-// NewCondvarMux creates the legacy global-condvar mux for nslots worker
-// identities.
-func NewCondvarMux(nslots int) *CondvarMux {
-	if nslots < 1 {
-		nslots = 1
-	}
-	m := &CondvarMux{}
-	m.muxBase.init(nslots)
-	m.cond = sync.NewCond(&m.mu)
-	return m
-}
-
-// Attach implements Mux.
-func (m *CondvarMux) Attach(p Policy, slot int) *Client { return m.attach(p, slot) }
-
-// Detach implements Mux.
-func (m *CondvarMux) Detach(c *Client) { m.detach(c) }
-
-// Push implements Mux.  The legacy protocol ignores the policy's wake
-// hint: every push broadcasts while anyone sleeps.
-func (m *CondvarMux) Push(c *Client, n *graph.Node, releasedBy int) {
-	m.enqueue(c)
-	c.policy.Push(n, releasedBy)
-	if m.sleepers.Load() == 0 {
-		return
-	}
-	m.mu.Lock()
-	m.version++
-	m.mu.Unlock()
-	m.cond.Broadcast()
-}
-
-// Get implements Mux.
-func (m *CondvarMux) Get(self int, only *Client, cancel func() bool) *graph.Node {
-	if self < 0 || self >= len(m.cursor) {
-		self = 0
-	}
-	for {
-		if n := m.tryNext(self, only); n != nil {
-			return n
-		}
-		m.mu.Lock()
-		v := m.version
-		m.mu.Unlock()
-		// Declare the sleeper before the final recheck: a Push after the
-		// recheck is then guaranteed to see sleepers > 0 and bump the
-		// version, so no wakeup is lost.
-		m.sleepers.Add(1)
-		if n := m.tryNext(self, only); n != nil {
-			m.sleepers.Add(-1)
-			return n
-		}
-		if cancel != nil && cancel() {
-			m.sleepers.Add(-1)
-			return nil
-		}
-		m.mu.Lock()
-		for m.version == v && !m.closed {
-			m.cond.Wait()
-		}
-		closed := m.closed
-		m.mu.Unlock()
-		m.sleepers.Add(-1)
-		if closed {
-			// Drain whatever remains before giving up.
-			return m.tryNext(self, only)
-		}
-	}
-}
-
-// Wake implements Mux.  The legacy design has no targeted wakeup; any
-// nudge is a broadcast.
-func (m *CondvarMux) Wake(slot int) { m.Kick() }
-
-// Kick implements Mux.
-func (m *CondvarMux) Kick() {
-	m.mu.Lock()
-	m.version++
-	m.mu.Unlock()
-	m.cond.Broadcast()
-}
-
-// Close implements Mux.
-func (m *CondvarMux) Close() {
-	m.mu.Lock()
-	m.closed = true
-	m.mu.Unlock()
-	m.cond.Broadcast()
-}
-
-// Stats implements Mux; the legacy machinery keeps no parking counters.
-func (m *CondvarMux) Stats() Stats { return Stats{} }

@@ -194,50 +194,6 @@ func TestMuxConcurrentClientsStress(t *testing.T) {
 	}
 }
 
-// TestCondvarMuxServesClients exercises the legacy-wakeup mux end to
-// end: blocking Get, cross-client dispatch, cancel and close-drain.
-func TestCondvarMuxServesClients(t *testing.T) {
-	m := NewCondvarMux(2)
-	a := m.Attach(NewListLocality(2), 0)
-	b := m.Attach(NewListLocality(2), 0)
-
-	got := make(chan *graph.Node, 1)
-	go func() { got <- m.Get(1, nil, nil) }()
-	time.Sleep(10 * time.Millisecond)
-	m.Push(a, mkNode(1, false), graph.MainThread)
-	select {
-	case n := <-got:
-		if n.ID != 1 {
-			t.Fatalf("Get = %d, want 1", n.ID)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatalf("condvar mux never woke the worker")
-	}
-
-	m.Push(b, mkNode(2, false), graph.MainThread)
-	if n := m.Get(1, b, nil); n == nil || n.ID != 2 {
-		t.Fatalf("restricted Get on condvar mux = %v, want 2", n)
-	}
-
-	var stop atomic.Bool
-	go func() { got <- m.Get(1, nil, stop.Load) }()
-	time.Sleep(10 * time.Millisecond)
-	stop.Store(true)
-	m.Kick()
-	if n := <-got; n != nil {
-		t.Fatalf("cancelled Get = %v, want nil", n)
-	}
-
-	m.Push(a, mkNode(3, false), graph.MainThread)
-	m.Close()
-	if n := m.Get(0, nil, nil); n == nil || n.ID != 3 {
-		t.Fatalf("Get after Close must drain, got %v", n)
-	}
-	if n := m.Get(0, nil, nil); n != nil {
-		t.Fatalf("drained closed mux returned %v", n)
-	}
-}
-
 // TestSharedHelperMayTakeLastTask pins the multi-tenant politeness
 // rule: on a private runtime the main thread leaves a dedicated
 // worker's last queued task alone (it is about to be popped), but on a
@@ -306,6 +262,8 @@ func (p *stickyPolicy) Push(node *graph.Node, by int) bool { p.n.Add(1); return 
 func (p *stickyPolicy) TryNext(self int) *graph.Node       { return nil }
 func (p *stickyPolicy) Len() int                           { return int(p.n.Load()) }
 func (p *stickyPolicy) Stats() Stats                       { return Stats{} }
+func (p *stickyPolicy) HighPending() bool                  { return false }
+func (p *stickyPolicy) Evict(w int) int                    { return 0 }
 
 // TestMultiTenantSelfPushWakes pins the elision boundary: a lone
 // self-push on a dedicated worker's deque skips the wake only while its

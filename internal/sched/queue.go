@@ -26,34 +26,19 @@ import (
 	"repro/internal/graph"
 )
 
-// queue is a mutex-guarded unbounded deque of task nodes, used for the
-// shared high-priority and injector lists.  The owner pops from the back
-// (LIFO); thieves and FIFO consumers pop from the front.
+// queue is a mutex-guarded unbounded FIFO of task nodes, used for the
+// shared high-priority and injector lists.
 type queue struct {
 	mu    sync.Mutex
 	items []*graph.Node
 	head  int
 }
 
-// pushBack appends a node at the back of the deque.
+// pushBack appends a node at the back of the queue.
 func (q *queue) pushBack(n *graph.Node) {
 	q.mu.Lock()
 	q.items = append(q.items, n)
 	q.mu.Unlock()
-}
-
-// popBack removes and returns the most recently pushed node, or nil.
-func (q *queue) popBack() *graph.Node {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.head == len(q.items) {
-		return nil
-	}
-	n := q.items[len(q.items)-1]
-	q.items[len(q.items)-1] = nil
-	q.items = q.items[:len(q.items)-1]
-	q.compact()
-	return n
 }
 
 // popFront removes and returns the oldest node, or nil.

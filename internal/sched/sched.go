@@ -48,7 +48,7 @@ type Stats struct {
 	// never enters a queue.
 	ChainHits int64
 	// Parks and Unparks count workers going to sleep and being woken.
-	// They are tracked by the Scheduler wrapper, not the policy.
+	// They are tracked by the TokenMux, not the policy.
 	Parks, Unparks int64
 }
 
@@ -73,6 +73,14 @@ type Policy interface {
 	Len() int
 	// Stats returns a snapshot of the policy's counters.
 	Stats() Stats
+	// HighPending reports whether high-priority work is queued.  The
+	// runtime's successor chaining checks it so an inline chain never
+	// makes a worker skip over a waiting high-priority task.
+	HighPending() bool
+	// Evict spills worker w's per-worker queue back to the shared
+	// injector — a retiring worker must strand no tasks — and returns how
+	// many tasks moved.
+	Evict(w int) int
 }
 
 // Locality is the scheduling policy of paper §III, rebuilt for multi-core
@@ -124,9 +132,7 @@ type Locality struct {
 	highLen atomic.Int64
 }
 
-// HighPending reports whether high-priority work is queued.  The
-// runtime's successor chaining checks it so an inline chain never makes
-// a worker skip over a waiting high-priority task.
+// HighPending implements Policy.
 func (s *Locality) HighPending() bool { return s.highLen.Load() > 0 }
 
 // NewLocality creates the paper's scheduler for nworkers workers
@@ -409,8 +415,7 @@ type GlobalFIFO struct {
 // NewGlobalFIFO creates the central-queue ablation policy.
 func NewGlobalFIFO() *GlobalFIFO { return &GlobalFIFO{} }
 
-// HighPending reports whether high-priority work is queued, so
-// successor chaining yields to it under this policy too.
+// HighPending implements Policy.
 func (s *GlobalFIFO) HighPending() bool { return s.high.size() > 0 }
 
 // Push implements Policy.
@@ -449,68 +454,4 @@ func (s *GlobalFIFO) Stats() Stats {
 		PopHigh:  s.popHigh.Load(),
 		PopMain:  s.popMain.Load(),
 	}
-}
-
-// Scheduler couples a single Policy with the TokenMux parking protocol:
-// the single-tenant view of the shared-pool dispatch machinery, kept as
-// the package's reference harness (and exercised hard by the tests in
-// this package).  A private core.Runtime is exactly this shape — one
-// pool, one client — just built from the Pool/Context layer above.
-type Scheduler struct {
-	mux *TokenMux
-	c   *Client
-}
-
-// NewScheduler wraps a policy with parking support for nworkers workers
-// (worker identities 0..nworkers-1; identity 0 is the main thread when
-// it helps).
-func NewScheduler(p Policy, nworkers int) *Scheduler {
-	m := NewTokenMux(nworkers)
-	return &Scheduler{mux: m, c: m.Attach(p, 0)}
-}
-
-// Push queues a ready task and unparks one idle worker when the policy
-// asks for one.  While no worker is parked, the wakeup path is a single
-// atomic load.
-func (s *Scheduler) Push(n *graph.Node, releasedBy int) bool {
-	s.mux.Push(s.c, n, releasedBy)
-	return true
-}
-
-// TryNext returns a task for worker self without parking, or nil.
-func (s *Scheduler) TryNext(self int) *graph.Node {
-	if self < 0 || self >= len(s.mux.cursor) {
-		self = 0
-	}
-	return s.mux.tryNext(self, nil)
-}
-
-// Len returns the number of queued tasks.
-func (s *Scheduler) Len() int { return s.c.policy.Len() }
-
-// Get returns the next task for worker self, parking until one arrives.
-// It returns nil when cancel() reports true (checked whenever the worker
-// is about to park or is woken) or after Close.
-func (s *Scheduler) Get(self int, cancel func() bool) *graph.Node {
-	return s.mux.Get(self, nil, cancel)
-}
-
-// Wake delivers a targeted wakeup to worker w so it re-evaluates its
-// cancel condition.
-func (s *Scheduler) Wake(w int) { s.mux.Wake(w) }
-
-// Kick wakes all parked workers so they re-evaluate their cancel
-// conditions.
-func (s *Scheduler) Kick() { s.mux.Kick() }
-
-// Close wakes everyone and makes subsequent Gets return once the queues
-// drain.
-func (s *Scheduler) Close() { s.mux.Close() }
-
-// Stats returns the policy's snapshot plus the mux's parking counters.
-func (s *Scheduler) Stats() Stats {
-	st := s.c.policy.Stats()
-	ms := s.mux.Stats()
-	st.Parks, st.Unparks = ms.Parks, ms.Unparks
-	return st
 }

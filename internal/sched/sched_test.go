@@ -14,21 +14,17 @@ func mkNode(id int64, prio bool) *graph.Node {
 	return &graph.Node{ID: id, Priority: prio}
 }
 
-func TestQueueFIFOAndLIFO(t *testing.T) {
+func TestQueueFIFO(t *testing.T) {
 	var q queue
 	for i := int64(1); i <= 3; i++ {
 		q.pushBack(mkNode(i, false))
 	}
-	if n := q.popFront(); n.ID != 1 {
-		t.Fatalf("popFront = %d, want 1", n.ID)
+	for want := int64(1); want <= 3; want++ {
+		if n := q.popFront(); n.ID != want {
+			t.Fatalf("popFront = %d, want %d", n.ID, want)
+		}
 	}
-	if n := q.popBack(); n.ID != 3 {
-		t.Fatalf("popBack = %d, want 3", n.ID)
-	}
-	if n := q.popBack(); n.ID != 2 {
-		t.Fatalf("popBack = %d, want 2", n.ID)
-	}
-	if q.popBack() != nil || q.popFront() != nil {
+	if q.popFront() != nil {
 		t.Fatalf("empty queue must return nil")
 	}
 }
@@ -56,23 +52,18 @@ func TestQueueCompaction(t *testing.T) {
 }
 
 func TestQueueOrderProperty(t *testing.T) {
-	// Property: popping everything from the front returns push order;
-	// popping everything from the back returns reverse push order.
+	// Property: popping everything from the front returns push order.
 	f := func(raw []uint8) bool {
-		var q1, q2 queue
+		var q queue
 		for i := range raw {
-			q1.pushBack(mkNode(int64(i), false))
-			q2.pushBack(mkNode(int64(i), false))
+			q.pushBack(mkNode(int64(i), false))
 		}
 		for i := range raw {
-			if q1.popFront().ID != int64(i) {
-				return false
-			}
-			if q2.popBack().ID != int64(len(raw)-1-i) {
+			if q.popFront().ID != int64(i) {
 				return false
 			}
 		}
-		return q1.size() == 0 && q2.size() == 0
+		return q.size() == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -231,15 +222,16 @@ func TestGlobalFIFOOrder(t *testing.T) {
 }
 
 func TestSchedulerGetBlocksUntilPush(t *testing.T) {
-	s := NewScheduler(NewLocality(2), 2)
+	m := NewTokenMux(2)
+	c := m.Attach(NewLocality(2), 0)
 	got := make(chan *graph.Node, 1)
-	go func() { got <- s.Get(0, nil) }()
+	go func() { got <- m.Get(0, nil, nil) }()
 	select {
 	case n := <-got:
 		t.Fatalf("Get returned %v before any push", n)
 	case <-time.After(20 * time.Millisecond):
 	}
-	s.Push(mkNode(42, false), graph.MainThread)
+	m.Push(c, mkNode(42, false), graph.MainThread)
 	select {
 	case n := <-got:
 		if n.ID != 42 {
@@ -251,13 +243,14 @@ func TestSchedulerGetBlocksUntilPush(t *testing.T) {
 }
 
 func TestSchedulerGetCancel(t *testing.T) {
-	s := NewScheduler(NewLocality(1), 1)
+	m := NewTokenMux(1)
+	m.Attach(NewLocality(1), 0)
 	var stop atomic.Bool
 	got := make(chan *graph.Node, 1)
-	go func() { got <- s.Get(0, stop.Load) }()
+	go func() { got <- m.Get(0, nil, stop.Load) }()
 	time.Sleep(10 * time.Millisecond)
 	stop.Store(true)
-	s.Kick()
+	m.Kick()
 	select {
 	case n := <-got:
 		if n != nil {
@@ -269,19 +262,21 @@ func TestSchedulerGetCancel(t *testing.T) {
 }
 
 func TestSchedulerCloseDrains(t *testing.T) {
-	s := NewScheduler(NewGlobalFIFO(), 2)
-	s.Push(mkNode(1, false), graph.MainThread)
-	s.Close()
-	if n := s.Get(0, nil); n == nil || n.ID != 1 {
+	m := NewTokenMux(2)
+	c := m.Attach(NewGlobalFIFO(), 0)
+	m.Push(c, mkNode(1, false), graph.MainThread)
+	m.Close()
+	if n := m.Get(0, nil, nil); n == nil || n.ID != 1 {
 		t.Fatalf("Get after Close must drain remaining tasks, got %v", n)
 	}
-	if n := s.Get(0, nil); n != nil {
+	if n := m.Get(0, nil, nil); n != nil {
 		t.Fatalf("Get on closed empty scheduler = %v, want nil", n)
 	}
 }
 
 func TestSchedulerConcurrentProducersConsumers(t *testing.T) {
-	s := NewScheduler(NewLocality(4), 4)
+	m := NewTokenMux(4)
+	c := m.Attach(NewLocality(4), 0)
 	const total = 4000
 	var consumed atomic.Int64
 	var wg sync.WaitGroup
@@ -290,7 +285,7 @@ func TestSchedulerConcurrentProducersConsumers(t *testing.T) {
 		go func(self int) {
 			defer wg.Done()
 			for {
-				n := s.Get(self, nil)
+				n := m.Get(self, nil, nil)
 				if n == nil {
 					return
 				}
@@ -304,17 +299,17 @@ func TestSchedulerConcurrentProducersConsumers(t *testing.T) {
 	// by the runtime's single-submitter invariant, made by that worker
 	// itself, which then pops the task without needing a wake).
 	for i := 0; i < total; i++ {
-		s.Push(mkNode(int64(i), i%7 == 0), i%2-1)
+		m.Push(c, mkNode(int64(i), i%7 == 0), i%2-1)
 	}
 	for consumed.Load() < total {
 		time.Sleep(time.Millisecond)
 	}
-	s.Close()
+	m.Close()
 	wg.Wait()
 	if consumed.Load() != total {
 		t.Fatalf("consumed %d, want %d", consumed.Load(), total)
 	}
-	st := s.Stats()
+	st := c.Stats()
 	if st.PushHigh == 0 || st.PushOwn == 0 || st.PushMain == 0 {
 		t.Fatalf("expected a mix of destinations: %+v", st)
 	}

@@ -141,11 +141,12 @@ func TestLocalityDequeOverflowSpills(t *testing.T) {
 }
 
 func TestSchedulerParkStats(t *testing.T) {
-	s := NewScheduler(NewLocality(1), 1)
+	m := NewTokenMux(1)
+	c := m.Attach(NewLocality(1), 0)
 	got := make(chan *graph.Node, 1)
-	go func() { got <- s.Get(0, nil) }()
+	go func() { got <- m.Get(0, nil, nil) }()
 	time.Sleep(20 * time.Millisecond) // let the worker park
-	s.Push(mkNode(1, false), graph.MainThread)
+	m.Push(c, mkNode(1, false), graph.MainThread)
 	select {
 	case n := <-got:
 		if n.ID != 1 {
@@ -154,7 +155,7 @@ func TestSchedulerParkStats(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatalf("push did not unpark the worker")
 	}
-	st := s.Stats()
+	st := m.Stats()
 	if st.Parks == 0 || st.Unparks == 0 {
 		t.Fatalf("stats = %+v, want parks and unparks recorded", st)
 	}
@@ -168,14 +169,15 @@ func TestSchedulerParkStats(t *testing.T) {
 func TestSchedulerWorkStealingStress(t *testing.T) {
 	const workers = 8
 	const total = 50000
-	s := NewScheduler(NewLocality(workers), workers)
+	m := NewTokenMux(workers)
+	c := m.Attach(NewLocality(workers), 0)
 	var budget atomic.Int64 // tasks left to create
 	budget.Store(total)
 	var pushed, consumed atomic.Int64
 	spawn := func(by int) {
 		if budget.Add(-1) >= 0 {
 			id := pushed.Add(1)
-			s.Push(mkNode(id, id%97 == 0), by)
+			m.Push(c, mkNode(id, id%97 == 0), by)
 		}
 	}
 	var wg sync.WaitGroup
@@ -184,7 +186,7 @@ func TestSchedulerWorkStealingStress(t *testing.T) {
 		go func(self int) {
 			defer wg.Done()
 			for {
-				n := s.Get(self, nil)
+				n := m.Get(self, nil, nil)
 				if n == nil {
 					return
 				}
@@ -210,12 +212,12 @@ func TestSchedulerWorkStealingStress(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	s.Close()
+	m.Close()
 	wg.Wait()
 	if consumed.Load() != pushed.Load() {
 		t.Fatalf("consumed %d, pushed %d", consumed.Load(), pushed.Load())
 	}
-	st := s.Stats()
+	st := c.Stats()
 	if st.PushOwn == 0 || st.PopOwn == 0 {
 		t.Fatalf("stress never used the own deques: %+v", st)
 	}
@@ -264,7 +266,8 @@ func TestLocalityWakeHints(t *testing.T) {
 func TestWorkersStealFromBusyPeer(t *testing.T) {
 	const workers = 4
 	const pile = 10
-	s := NewScheduler(NewLocality(workers), workers)
+	m := NewTokenMux(workers)
+	c := m.Attach(NewLocality(workers), 0)
 	var consumed atomic.Int64
 	var wg sync.WaitGroup
 	for w := 2; w < workers; w++ {
@@ -272,7 +275,7 @@ func TestWorkersStealFromBusyPeer(t *testing.T) {
 		go func(self int) {
 			defer wg.Done()
 			for {
-				n := s.Get(self, nil)
+				n := m.Get(self, nil, nil)
 				if n == nil {
 					return
 				}
@@ -283,7 +286,7 @@ func TestWorkersStealFromBusyPeer(t *testing.T) {
 	// "Worker 1": releases a pile onto its own deque mid-task, then
 	// never comes back for it (stuck in a long task body).
 	for i := int64(1); i <= pile; i++ {
-		s.Push(mkNode(i, false), 1)
+		m.Push(c, mkNode(i, false), 1)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for consumed.Load() < pile {
@@ -292,9 +295,9 @@ func TestWorkersStealFromBusyPeer(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	s.Close()
+	m.Close()
 	wg.Wait()
-	st := s.Stats()
+	st := c.Stats()
 	if st.Steals == 0 || st.StealBatches == 0 {
 		t.Fatalf("the pile can only drain via steals: %+v", st)
 	}

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -93,4 +95,56 @@ func TestParsePRVSkipsForeignRecords(t *testing.T) {
 	if got := len(back.Events()); got != 2 {
 		t.Fatalf("parsed %d events, want 2", got)
 	}
+}
+
+// FuzzParsePRV: ParsePRV never panics, and for input it accepts
+// WritePRV∘ParsePRV is a fixed point — what WritePRV writes parses back
+// and writes out byte-identical.
+func FuzzParsePRV(f *testing.F) {
+	tr := New()
+	tr.Emit(0, EvCreate, 2, "spotrf", 1)
+	tr.EmitCtx(1, 3, EvStart, 2, "spotrf", 1)
+	tr.EmitCtx(1, 3, EvRename, -1, "", 1)
+	tr.EmitCtx(1, 3, EvEnd, 2, "spotrf", 1)
+	tr.Emit(0, EvBarrier, -1, "", 0)
+	tr.Emit(0, EvBarrierDone, -1, "", 0)
+	var seed bytes.Buffer
+	if err := tr.WritePRV(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	// Two workers sharing a stripe and a timestamp, an end without a
+	// start, foreign records, and two malformed lines.
+	f.Add([]byte("2:1:1:1:1:5:90000001:3\n2:17:1:1:17:5:90000001:0\n2:1:1:1:1:5:90000009:4\n"))
+	f.Add([]byte("1:1:1:1:1:0:10:1\n2:1:1:1:1:7:12345:1\n# comment\n\n"))
+	f.Add([]byte("2:1:1:1\n"))
+	f.Add([]byte("2:1:1:1:1:x:90000001:1\n"))
+	// Enough records with tied timestamps that an unstable time sort
+	// would reorder them between one write and the next.
+	var ties bytes.Buffer
+	for i := 0; i < 40; i++ {
+		w := i*7%20 + 1
+		fmt.Fprintf(&ties, "2:%d:1:1:%d:%d:90000001:%d\n", w, w, i%3, i%2*(i%5+1))
+	}
+	f.Add(ties.Bytes())
+	f.Fuzz(func(t *testing.T, in []byte) {
+		first, err := ParsePRV(bytes.NewReader(in), nil)
+		if err != nil {
+			return
+		}
+		var w1, w2 bytes.Buffer
+		if err := first.WritePRV(&w1); err != nil {
+			t.Fatal(err)
+		}
+		second, err := ParsePRV(bytes.NewReader(w1.Bytes()), nil)
+		if err != nil {
+			t.Fatalf("ParsePRV rejects what WritePRV wrote: %v\n%s", err, w1.Bytes())
+		}
+		if err := second.WritePRV(&w2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(w1.Bytes(), w2.Bytes()) {
+			t.Fatalf("not a fixed point:\nfirst:\n%s\nsecond:\n%s", w1.Bytes(), w2.Bytes())
+		}
+	})
 }

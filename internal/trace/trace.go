@@ -171,7 +171,9 @@ func (t *Tracer) EmitCtx(ctx, worker int, typ EventType, kind int, label string,
 	s.mu.Unlock()
 }
 
-// Events returns all recorded events sorted by time.
+// Events returns all recorded events sorted by time.  The sort is
+// stable, so one worker's events keep their emission order across a
+// timestamp tie (an end and the next start in the same nanosecond).
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
@@ -183,7 +185,7 @@ func (t *Tracer) Events() []Event {
 		all = append(all, s.evs...)
 		s.mu.Unlock()
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].When < all[j].When })
+	sort.SliceStable(all, func(i, j int) bool { return all[i].When < all[j].When })
 	return all
 }
 
