@@ -177,9 +177,10 @@ func ConfigureEngine(provider string, p Params) error {
 
 // --- provider entry points -------------------------------------------
 
-// The eight entry points below are bound into Provider structs as
-// method values (engineProvider); the plain four borrow a pooled
-// scratch, the S variants take the executing worker's.
+// The ten entry points below are bound into Provider structs as method
+// values (engineProvider); the plain ones borrow a pooled scratch, the
+// S variants take the executing worker's.  Below the crossover each
+// delegates to the Fast streaming loop of the same kernel.
 
 func (e *engine) GemmNN(a, b, c []float32, m int) {
 	if m < e.cfg.Load().crossover {
@@ -187,7 +188,7 @@ func (e *engine) GemmNN(a, b, c []float32, m int) {
 		return
 	}
 	s := AcquireScratch()
-	e.gemm(s, a, b, c, m, false, false)
+	e.square(s, a, b, c, m, 0)
 	ReleaseScratch(s)
 }
 
@@ -197,7 +198,7 @@ func (e *engine) GemmNT(a, b, c []float32, m int) {
 		return
 	}
 	s := AcquireScratch()
-	e.gemm(s, a, b, c, m, true, true)
+	e.square(s, a, b, c, m, transB|sub)
 	ReleaseScratch(s)
 }
 
@@ -207,7 +208,7 @@ func (e *engine) Syrk(a, c []float32, m int) {
 		return
 	}
 	s := AcquireScratch()
-	e.syrk(s, a, c, m)
+	e.square(s, a, a, c, m, transB|sub|lower)
 	ReleaseScratch(s)
 }
 
@@ -217,7 +218,7 @@ func (e *engine) GemmSub(a, b, c []float32, m int) {
 		return
 	}
 	s := AcquireScratch()
-	e.gemm(s, a, b, c, m, false, true)
+	e.square(s, a, b, c, m, sub)
 	ReleaseScratch(s)
 }
 
@@ -226,7 +227,7 @@ func (e *engine) GemmNNS(s *Scratch, a, b, c []float32, m int) {
 		gemmNNFast(a, b, c, m)
 		return
 	}
-	e.gemm(s, a, b, c, m, false, false)
+	e.square(s, a, b, c, m, 0)
 }
 
 func (e *engine) GemmNTS(s *Scratch, a, b, c []float32, m int) {
@@ -234,7 +235,7 @@ func (e *engine) GemmNTS(s *Scratch, a, b, c []float32, m int) {
 		gemmNTFast(a, b, c, m)
 		return
 	}
-	e.gemm(s, a, b, c, m, true, true)
+	e.square(s, a, b, c, m, transB|sub)
 }
 
 func (e *engine) SyrkS(s *Scratch, a, c []float32, m int) {
@@ -242,7 +243,7 @@ func (e *engine) SyrkS(s *Scratch, a, c []float32, m int) {
 		syrkFast(a, c, m)
 		return
 	}
-	e.syrk(s, a, c, m)
+	e.square(s, a, a, c, m, transB|sub|lower)
 }
 
 func (e *engine) GemmSubS(s *Scratch, a, b, c []float32, m int) {
@@ -250,13 +251,15 @@ func (e *engine) GemmSubS(s *Scratch, a, b, c []float32, m int) {
 		GemmSubNN(a, b, c, m)
 		return
 	}
-	e.gemm(s, a, b, c, m, false, true)
+	e.square(s, a, b, c, m, sub)
 }
 
-// engineProvider builds a Provider over the engine; the lower-order or
-// bandwidth-bound sidekicks (Trsm, Potrf, Add, Sub, Gemv, Trsv) inherit
-// the Fast loops — the packing layout brings them nothing.  Callers may
-// override fields afterwards (Simd swaps in its FMA Gemv).
+// engineProvider builds a Provider over the engine: the level-3
+// kernels (GemmNN/NT/Sub, Syrk, and the blocked Trsm and Potrf of
+// blocked.go) run on the packed micro-kernels; the bandwidth-bound
+// level-1/2 sidekicks (Add, Sub, Gemv, Trsv) inherit the Fast loops,
+// which packing cannot help.  Callers may override fields afterwards
+// (Simd swaps in its FMA Gemv).
 func engineProvider(name string, e *engine) Provider {
 	engines[name] = e
 	return Provider{
@@ -264,8 +267,8 @@ func engineProvider(name string, e *engine) Provider {
 		GemmNN:   e.GemmNN,
 		GemmNT:   e.GemmNT,
 		Syrk:     e.Syrk,
-		Trsm:     trsmFast,
-		Potrf:    potrf,
+		Trsm:     e.Trsm,
+		Potrf:    e.Potrf,
 		GemmSub:  e.GemmSub,
 		Add:      addFast,
 		Sub:      subFast,
@@ -280,187 +283,177 @@ func engineProvider(name string, e *engine) Provider {
 
 // --- the packed decomposition ----------------------------------------
 
-// gemm drives the engine: C ±= A·op(B) with op = Bᵀ when transB.
-// sub selects subtraction at write-back (GemmNT/GemmSub's contract).
-func (e *engine) gemm(s *Scratch, a, b, c []float32, m int, transB, sub bool) {
+// mat is a strided row-major view: element (i, j) is p[i*ld+j].
+type mat struct {
+	p  []float32
+	ld int
+}
+
+// at returns the view whose origin is element (i, j) of m.
+func (m mat) at(i, j int) mat { return mat{m.p[i*m.ld+j:], m.ld} }
+
+// gemmMode selects the driver's variant of C ±= A·op(B).
+type gemmMode uint8
+
+const (
+	transB gemmMode = 1 << iota // op(B) = Bᵀ: B is stored cols×k
+	sub                         // C -= A·op(B) instead of C +=
+	lower                       // C is square: update only its lower triangle
+)
+
+// square runs the driver on whole m×m tiles, the shape of every
+// provider-level GEMM and of Syrk (B = A, lower).
+func (e *engine) square(s *Scratch, a, b, c []float32, m int, mode gemmMode) {
 	cfg := e.cfg.Load()
-	mr, nr, kcd := cfg.kern.mr, cfg.kern.nr, cfg.kc
-	np := (m + nr - 1) / nr
-	kcap := min(kcd, m)
-	bpLen, apLen := np*kcap*nr, mr*kcap
-	arena := s.ensure(bpLen + apLen + mr*nr)
+	cfg.gemm(s.ensure(cfg.gemmArena(m, m)), mat{a, m}, mat{b, m}, mat{c, m}, m, m, m, mode)
+}
+
+// panelLens returns the packed lengths of one k-chunk of a cols-wide
+// op(B) and of one A row panel, for a k-deep product.
+func (cfg *engineConfig) panelLens(cols, k int) (bpLen, apLen int) {
+	mr, nr := cfg.kern.mr, cfg.kern.nr
+	kcap := min(cfg.kc, k)
+	return (cols + nr - 1) / nr * nr * kcap, mr * kcap
+}
+
+// gemmArena is the arena length gemm needs for a cols-wide C and a
+// k-deep product: the packed B chunk, one packed A panel and the edge
+// tile.
+func (cfg *engineConfig) gemmArena(cols, k int) int {
+	bpLen, apLen := cfg.panelLens(cols, k)
+	return bpLen + apLen + cfg.kern.mr*cfg.kern.nr
+}
+
+// gemm is the engine's one driver: C[rows×cols] ±= A[rows×k]·op(B) on
+// strided views, with op(B) = B (k×cols) or Bᵀ (B stored cols×k).
+// Per k-chunk it packs op(B) once, then per mr-row block packs A (an
+// mr×kk panel, ap[k*mr+r] = a[i0+r][k0+k]) and runs the micro-kernel
+// across the column panels.  In lower mode only tiles that intersect
+// the lower triangle are visited and the write-back of
+// diagonal-crossing ones is masked, so the strict upper triangle of C
+// is neither read nor written.  arena must hold gemmArena(cols, k)
+// floats and alias none of the operands.
+func (cfg *engineConfig) gemm(arena []float32, a, b, c mat, rows, cols, k int, mode gemmMode) {
+	kern := cfg.kern
+	mr, nr, kcd := kern.mr, kern.nr, cfg.kc
+	bpLen, apLen := cfg.panelLens(cols, k)
 	bp := arena[:bpLen:bpLen]
 	ap := arena[bpLen : bpLen+apLen : bpLen+apLen]
-	tile := arena[bpLen+apLen:]
-	for k0 := 0; k0 < m; k0 += kcd {
-		kk := min(kcd, m-k0)
-		if transB {
-			packBT(bp, b, m, k0, kk, nr)
+	tile := arena[bpLen+apLen : bpLen+apLen+mr*nr]
+	for k0 := 0; k0 < k; k0 += kcd {
+		kk := min(kcd, k-k0)
+		if mode&transB != 0 {
+			packBT(bp, b, cols, k0, kk, nr)
 		} else {
-			packBN(bp, b, m, k0, kk, nr)
+			packBN(bp, b, cols, k0, kk, nr)
 		}
-		for i0 := 0; i0 < m; i0 += mr {
-			rows := min(mr, m-i0)
-			packA(ap, a, m, i0, rows, k0, kk, mr)
-			for jp := 0; jp < np; jp++ {
-				j0 := jp * nr
-				cols := min(nr, m-j0)
-				if rows == mr && cols == nr {
-					cfg.kern.kern(ap, bp[jp*kk*nr:], c[i0*m+j0:], m, kk, sub)
+		for i0 := 0; i0 < rows; i0 += mr {
+			r := min(mr, rows-i0)
+			packLanes(ap, a, i0, r, k0, kk, mr)
+			jend := cols
+			if mode&lower != 0 {
+				jend = min(cols, i0+r) // first column on or below the last row
+			}
+			for j0 := 0; j0 < jend; j0 += nr {
+				n := min(nr, cols-j0)
+				// Position (i, j) of the tile is written iff i+diag ≥ j.
+				diag := nr
+				if mode&lower != 0 {
+					diag = i0 - j0
+				}
+				ct, bpj := c.p[i0*c.ld+j0:], bp[j0*kk:]
+				if r == mr && n == nr && diag >= nr-1 {
+					kern.kern(ap, bpj, ct, c.ld, kk, mode&sub != 0)
 				} else {
-					edgeTile(cfg.kern, ap, bp[jp*kk*nr:], tile,
-						c[i0*m+j0:], m, kk, rows, cols, sub)
+					maskedTile(kern, ap, bpj, tile, ct, c.ld, kk, r, n, diag, mode&sub != 0)
 				}
 			}
 		}
 	}
 }
 
-// syrk is gemm with B = Aᵀ, visiting only tiles that intersect the
-// lower triangle and masking the write-back of diagonal-crossing tiles.
-func (e *engine) syrk(s *Scratch, a, c []float32, m int) {
-	cfg := e.cfg.Load()
-	mr, nr, kcd := cfg.kern.mr, cfg.kern.nr, cfg.kc
-	np := (m + nr - 1) / nr
-	kcap := min(kcd, m)
-	bpLen, apLen := np*kcap*nr, mr*kcap
-	arena := s.ensure(bpLen + apLen + mr*nr)
-	bp := arena[:bpLen:bpLen]
-	ap := arena[bpLen : bpLen+apLen : bpLen+apLen]
-	tile := arena[bpLen+apLen:]
-	for k0 := 0; k0 < m; k0 += kcd {
-		kk := min(kcd, m-k0)
-		packBT(bp, a, m, k0, kk, nr)
-		for i0 := 0; i0 < m; i0 += mr {
-			rows := min(mr, m-i0)
-			packA(ap, a, m, i0, rows, k0, kk, mr)
-			// Only tiles whose first column is on or below the last row.
-			for jp := 0; jp*nr <= i0+rows-1 && jp < np; jp++ {
-				j0 := jp * nr
-				cols := min(nr, m-j0)
-				if j0+cols-1 <= i0 && rows == mr && cols == nr {
-					// Entirely within the lower triangle, full shape.
-					cfg.kern.kern(ap, bp[jp*kk*nr:], c[i0*m+j0:], m, kk, true)
-				} else {
-					lowerTile(cfg.kern, ap, bp[jp*kk*nr:], tile,
-						c[i0*m+j0:], m, kk, rows, cols, i0-j0)
-				}
-			}
-		}
-	}
-}
-
-// edgeTile runs the micro-kernel for a partial tile: the kernel always
+// maskedTile runs the micro-kernel for a tile that is partial (an
+// edge) or crosses the diagonal in lower mode: the kernel always
 // computes a full mr×nr product, so it accumulates into a zeroed
 // scratch tile (ldc = nr) and the write-back into C is masked to
-// rows×cols.  Edges are O(m²) of an O(m³) computation; the detour
-// through the scratch tile keeps every kernel's k loop shape-free.
-func edgeTile(k tileKernel, ap, bp, tile, c []float32, ldc, kk, rows, cols int, sub bool) {
-	n := k.mr * k.nr
-	tile = tile[:n:n]
-	for i := range tile {
-		tile[i] = 0
-	}
+// rows×cols and to positions on or below the diagonal (r+diag ≥ j).
+// Such tiles are O(m²) of an O(m³) computation; the detour through the
+// scratch tile keeps every kernel's k loop shape-free.
+func maskedTile(k tileKernel, ap, bp, tile, c []float32, ldc, kk, rows, cols, diag int, sub bool) {
+	clear(tile)
 	k.kern(ap, bp, tile, k.nr, kk, false)
 	for r := 0; r < rows; r++ {
+		n := min(cols, r+diag+1)
+		if n <= 0 {
+			continue // row entirely above the diagonal
+		}
+		cr, tr := c[r*ldc:r*ldc+n], tile[r*k.nr:r*k.nr+n]
 		if sub {
-			for j := 0; j < cols; j++ {
-				c[r*ldc+j] -= tile[r*k.nr+j]
+			for j, v := range tr {
+				cr[j] -= v
 			}
 		} else {
-			for j := 0; j < cols; j++ {
-				c[r*ldc+j] += tile[r*k.nr+j]
+			for j, v := range tr {
+				cr[j] += v
 			}
 		}
 	}
 }
 
-// lowerTile is edgeTile for a Syrk tile that crosses the diagonal: the
-// write-back subtracts only at positions on or below the block diagonal
-// (global row i0+r ≥ global column j0+j, i.e. r+diag ≥ j with
-// diag = i0-j0).
-func lowerTile(k tileKernel, ap, bp, tile, c []float32, ldc, kk, rows, cols, diag int) {
-	n := k.mr * k.nr
-	tile = tile[:n:n]
-	for i := range tile {
-		tile[i] = 0
+// packLanes is the engine's transposing pack: n rows of src starting at
+// row first, over columns k0..k0+kk-1, become the lanes of a kk×width
+// panel — dst[k*width+l] = src[first+l][k0+k] — with lanes n..width-1
+// zero-filled so the micro-kernel always consumes a full panel.  Each
+// lane streams one contiguous row; lanes go two per pass, which halves
+// the strided-store passes over dst.
+func packLanes(dst []float32, src mat, first, n, k0, kk, width int) {
+	dst = dst[: kk*width : kk*width]
+	row := func(l int) []float32 {
+		o := (first+l)*src.ld + k0
+		return src.p[o : o+kk]
 	}
-	k.kern(ap, bp, tile, k.nr, kk, false)
-	for r := 0; r < rows; r++ {
-		jmax := r + diag
-		if jmax >= cols {
-			jmax = cols - 1
+	l := 0
+	for ; l+1 < n; l += 2 {
+		s0, s1 := row(l), row(l+1)
+		o := l
+		for k, v := range s0 {
+			dst[o], dst[o+1] = v, s1[k]
+			o += width
 		}
-		for j := 0; j <= jmax; j++ {
-			c[r*ldc+j] -= tile[r*k.nr+j]
+	}
+	if l < n {
+		o := l
+		for _, v := range row(l) {
+			dst[o] = v
+			o += width
+		}
+	}
+	for l = n; l < width; l++ {
+		for o := l; o < len(dst); o += width {
+			dst[o] = 0
 		}
 	}
 }
 
-// packA packs rows i0..i0+rows-1 of the k-chunk a[·][k0:k0+kk] as one
-// mr×kk panel: ap[k*mr+r] = a[(i0+r)*lda + k0+k], rows past the edge
-// zero-filled so the micro-kernel always consumes a full panel.
-func packA(ap, a []float32, lda, i0, rows, k0, kk, mr int) {
-	ap = ap[: kk*mr : kk*mr]
-	for r := 0; r < rows; r++ {
-		src := a[(i0+r)*lda+k0 : (i0+r)*lda+k0+kk]
-		for k, v := range src {
-			ap[k*mr+r] = v
-		}
-	}
-	for r := rows; r < mr; r++ {
+// packBN packs the k-chunk of B (k×cols) into column panels of nr:
+// bp[jp*kk*nr + k*nr + c] = b[k0+k][jp*nr+c], edge columns zero-filled.
+func packBN(bp []float32, b mat, cols, k0, kk, nr int) {
+	for j0 := 0; j0 < cols; j0 += nr {
+		n := min(nr, cols-j0)
+		dst := bp[j0*kk : (j0+nr)*kk : (j0+nr)*kk]
 		for k := 0; k < kk; k++ {
-			ap[k*mr+r] = 0
+			row := dst[k*nr : (k+1)*nr]
+			src := b.p[(k0+k)*b.ld+j0 : (k0+k)*b.ld+j0+n]
+			clear(row[copy(row, src):])
 		}
 	}
 }
 
-// packBN packs the k-chunk of B into column panels of nr:
-// bp[jp*kk*nr + k*nr + c] = b[(k0+k)*ldb + jp*nr+c], edge columns
-// zero-filled.
-func packBN(bp, b []float32, ldb, k0, kk, nr int) {
-	np := (ldb + nr - 1) / nr
-	for jp := 0; jp < np; jp++ {
-		j0 := jp * nr
-		cols := min(nr, ldb-j0)
-		dst := bp[jp*kk*nr : (jp+1)*kk*nr : (jp+1)*kk*nr]
-		if cols == nr {
-			for k := 0; k < kk; k++ {
-				src := b[(k0+k)*ldb+j0 : (k0+k)*ldb+j0+nr]
-				copy(dst[k*nr:(k+1)*nr], src)
-			}
-		} else {
-			for k := 0; k < kk; k++ {
-				src := b[(k0+k)*ldb+j0 : (k0+k)*ldb+j0+cols]
-				row := dst[k*nr : (k+1)*nr]
-				n := copy(row, src)
-				for c := n; c < nr; c++ {
-					row[c] = 0
-				}
-			}
-		}
-	}
-}
-
-// packBT packs the k-chunk of Bᵀ into column panels of nr — column j of
-// op(B) is row j of B, so each packed lane streams one contiguous row:
-// bp[jp*kk*nr + k*nr + c] = b[(jp*nr+c)*ldb + k0+k].
-func packBT(bp, b []float32, ldb, k0, kk, nr int) {
-	np := (ldb + nr - 1) / nr
-	for jp := 0; jp < np; jp++ {
-		j0 := jp * nr
-		cols := min(nr, ldb-j0)
-		dst := bp[jp*kk*nr : (jp+1)*kk*nr : (jp+1)*kk*nr]
-		for c := 0; c < cols; c++ {
-			src := b[(j0+c)*ldb+k0 : (j0+c)*ldb+k0+kk]
-			for k, v := range src {
-				dst[k*nr+c] = v
-			}
-		}
-		for c := cols; c < nr; c++ {
-			for k := 0; k < kk; k++ {
-				dst[k*nr+c] = 0
-			}
-		}
+// packBT packs the k-chunk of Bᵀ (B stored cols×k) into column panels
+// of nr: column j of op(B) is row j of B, so panel jp is the lanes
+// jp*nr.. of B — bp[jp*kk*nr + k*nr + c] = b[jp*nr+c][k0+k].
+func packBT(bp []float32, b mat, cols, k0, kk, nr int) {
+	for j0 := 0; j0 < cols; j0 += nr {
+		packLanes(bp[j0*kk:], b, j0, min(nr, cols-j0), k0, kk, nr)
 	}
 }

@@ -21,7 +21,13 @@
 //     stand-in for Goto BLAS).
 //   - Ref: straightforward textbook loops (the stand-in for MKL 9.1 in
 //     the relative sense that it is the second, somewhat slower
-//     provider).
+//     provider), and the oracle the others are tested against.
+//
+// The engine serves every level-3 kernel of Simd and Tuned: GemmNN,
+// GemmNT, GemmSub and Syrk through one rectangular, strided driver
+// (engine.go), and Trsm and Potrf as blocked kernels on that driver
+// (blocked.go).  Only the level-1/2 kernels (Add, Sub, Gemv, Trsv) and
+// LU's panel kernels (lu.go) stay streaming loops on every provider.
 //
 // The package also contains flat-matrix sequential algorithms (GEMM,
 // Cholesky, LU) used for verification and as sequential baselines.
@@ -32,7 +38,8 @@ import "math"
 // Provider is one implementation of the tile-kernel set.  All kernels
 // operate on M×M row-major blocks.
 type Provider struct {
-	// Name labels benchmark series ("tuned" / "goto" / "mkl").
+	// Name labels benchmark series and is the -provider flag value
+	// ("simd" / "tuned" / "goto" / "mkl").
 	Name string
 	// GemmNN computes C += A·B.
 	GemmNN func(a, b, c []float32, m int)
@@ -40,10 +47,13 @@ type Provider struct {
 	GemmNT func(a, b, c []float32, m int)
 	// Syrk computes C -= A·Aᵀ on the lower triangle of C.
 	Syrk func(a, c []float32, m int)
-	// Trsm solves X·Lᵀ = B in place of B, with L lower-triangular.
+	// Trsm solves X·Lᵀ = B in place of B, with L lower-triangular; the
+	// strict upper triangle of L is not read.
 	Trsm func(l, b []float32, m int)
 	// Potrf factors the lower triangle of A in place (A = L·Lᵀ),
-	// returning false if A is not positive definite.
+	// returning false if a pivot is non-positive or NaN (A not positive
+	// definite).  The strict upper triangle of A is neither read nor
+	// written.
 	Potrf func(a []float32, m int) bool
 	// GemmSub computes C -= A·B (the trailing update of tiled LU).
 	GemmSub func(a, b, c []float32, m int)
@@ -58,11 +68,11 @@ type Provider struct {
 	Trsv func(l, b []float32, m int)
 
 	// GemmNNS, GemmNTS, SyrkS and GemmSubS are scratch-aware variants,
-	// non-nil only for providers that pack (Tuned).  The runtime path
-	// calls them with a per-worker Scratch (keyed off core's
+	// non-nil only for providers that pack (Simd, Tuned).  The runtime
+	// path calls them with a per-worker Scratch (keyed off core's
 	// Args.Worker()) so packing buffers are reused without
-	// synchronization; the plain entry points above borrow from the
-	// shared scratch pool instead.
+	// synchronization; the plain entry points above, Trsm and Potrf
+	// among them, borrow from the shared scratch pool instead.
 	GemmNNS  func(s *Scratch, a, b, c []float32, m int)
 	GemmNTS  func(s *Scratch, a, b, c []float32, m int)
 	SyrkS    func(s *Scratch, a, c []float32, m int)
@@ -272,26 +282,30 @@ func trsmFast(l, b []float32, m int) {
 }
 
 // potrf factors the lower triangle of A in place: A = L·Lᵀ.  It returns
-// false if a non-positive pivot appears (A not positive definite).
-func potrf(a []float32, m int) bool {
-	for k := 0; k < m; k++ {
-		d := a[k*m+k]
+// false if a non-positive pivot appears (A not positive definite).  The
+// strict upper triangle is neither read nor written.
+func potrf(a []float32, m int) bool { return potrfLD(a, m, m) }
+
+// potrfLD is potrf on an n×n block with row stride lda.
+func potrfLD(a []float32, lda, n int) bool {
+	for k := 0; k < n; k++ {
+		d := a[k*lda+k]
 		if d <= 0 || math.IsNaN(float64(d)) {
 			return false
 		}
 		d = float32(math.Sqrt(float64(d)))
-		a[k*m+k] = d
+		a[k*lda+k] = d
 		inv := 1 / d
-		for i := k + 1; i < m; i++ {
-			a[i*m+k] *= inv
+		for i := k + 1; i < n; i++ {
+			a[i*lda+k] *= inv
 		}
-		for j := k + 1; j < m; j++ {
-			ajk := a[j*m+k]
+		for j := k + 1; j < n; j++ {
+			ajk := a[j*lda+k]
 			if ajk == 0 {
 				continue
 			}
-			for i := j; i < m; i++ {
-				a[i*m+j] -= a[i*m+k] * ajk
+			for i := j; i < n; i++ {
+				a[i*lda+j] -= a[i*lda+k] * ajk
 			}
 		}
 	}

@@ -92,30 +92,53 @@ func BenchmarkGemmNNWorkerScratch256(b *testing.B) {
 	b.ReportMetric(GemmFlops(m)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflop/s")
 }
 
-func BenchmarkPotrf256(b *testing.B) {
-	m := 256
-	spd := GenSPD(m, 3)
-	work := make([]float32, m*m)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(work, spd)
-		if !Fast.Potrf(work, m) {
-			b.Fatal("not positive definite")
+// factorBlockSizes are the tile sizes the factor kernels are timed at:
+// the gated benchmark's Cholesky tile and the paper's 256.
+var factorBlockSizes = []int{192, 256}
+
+// BenchmarkPotrf counts m³/3 flops per factorization and BenchmarkTrsm
+// m³ per solve, the counts of benchmark/layers.go.  Both kernels
+// overwrite their operand, so each iteration restores it inside the
+// timed loop (an O(m²) copy against O(m³) work).
+
+func BenchmarkPotrf(b *testing.B) {
+	for _, p := range Providers {
+		for _, m := range factorBlockSizes {
+			b.Run(fmt.Sprintf("%s/%d", p.Name, m), func(b *testing.B) {
+				spd := GenSPD(m, 3)
+				work := make([]float32, m*m)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					copy(work, spd)
+					if !p.Potrf(work, m) {
+						b.Fatal("not positive definite")
+					}
+				}
+				b.ReportMetric(GemmFlops(m)/6*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflop/s")
+			})
 		}
 	}
 }
 
-func BenchmarkTrsm256(b *testing.B) {
-	m := 256
-	l := GenSPD(m, 4)
-	if !Fast.Potrf(l, m) {
-		b.Fatal("factor failed")
-	}
-	x := GenMatrix(m, 5)
-	work := make([]float32, m*m)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(work, x)
-		Fast.Trsm(l, work, m)
+func BenchmarkTrsm(b *testing.B) {
+	for _, p := range Providers {
+		for _, m := range factorBlockSizes {
+			b.Run(fmt.Sprintf("%s/%d", p.Name, m), func(b *testing.B) {
+				l := GenSPD(m, 4)
+				if !Ref.Potrf(l, m) {
+					b.Fatal("factor failed")
+				}
+				x := GenMatrix(m, 5)
+				work := make([]float32, m*m)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					copy(work, x)
+					p.Trsm(l, work, m)
+				}
+				b.ReportMetric(GemmFlops(m)/2*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflop/s")
+			})
+		}
 	}
 }

@@ -115,24 +115,28 @@ func TestSyrkMatchesGemmNT(t *testing.T) {
 
 func TestPotrfFactorsSPD(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	a := spdBlock(testM, rng)
-	orig := append([]float32(nil), a...)
-	if !potrf(a, testM) {
-		t.Fatalf("potrf failed on SPD block")
-	}
-	ZeroUpper(a, testM)
-	back := MulLLT(a, testM)
-	if d := MaxAbsDiff(orig, back); d > 1e-3 {
-		t.Fatalf("L·Lᵀ differs from A by %g", d)
+	orig := spdBlock(testM, rng)
+	for _, p := range Providers {
+		a := append([]float32(nil), orig...)
+		if !p.Potrf(a, testM) {
+			t.Fatalf("%s: Potrf failed on SPD block", p.Name)
+		}
+		ZeroUpper(a, testM)
+		back := MulLLT(a, testM)
+		if d := MaxAbsDiff(orig, back); d > 1e-3 {
+			t.Fatalf("%s: L·Lᵀ differs from A by %g", p.Name, d)
+		}
 	}
 }
 
 func TestPotrfRejectsIndefinite(t *testing.T) {
 	m := 4
-	a := make([]float32, m*m)
-	a[0] = -1 // negative pivot
-	if potrf(a, m) {
-		t.Fatalf("potrf accepted an indefinite matrix")
+	for _, p := range Providers {
+		a := make([]float32, m*m)
+		a[0] = -1 // negative pivot
+		if p.Potrf(a, m) {
+			t.Fatalf("%s: Potrf accepted an indefinite matrix", p.Name)
+		}
 	}
 }
 

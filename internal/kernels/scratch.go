@@ -6,15 +6,16 @@ import (
 	"sync/atomic"
 )
 
-// Scratch holds the packing buffers of the Tuned provider's micro-kernel
-// engine: one contiguous float32 arena split on demand into the packed
-// A row panels and packed B column panels of a GEMM invocation.  A
-// Scratch belongs to one executing thread at a time — the runtime path
-// hands every worker its own instance (keyed off Args.Worker() through
-// core's worker-local registry), while the plain Provider entry points
-// borrow one from the size-classed pool below for the duration of a
-// call.  Buffers grow monotonically and are reused across calls, so a
-// steady kernel stream performs no allocations.
+// Scratch holds the working buffers of the packed micro-kernel engine:
+// one contiguous float32 arena split on demand into the packed A row
+// panels and packed B column panels of a GEMM invocation, and for the
+// blocked Trsm and Potrf also their diagonal-block inverses and panel
+// copy.  A Scratch belongs to one executing thread at a time — the
+// runtime path hands every worker its own instance (keyed off
+// Args.Worker() through core's worker-local registry), while the plain
+// Provider entry points borrow one from the size-classed pool below for
+// the duration of a call.  Buffers grow monotonically and are reused
+// across calls, so a steady kernel stream performs no allocations.
 type Scratch struct {
 	buf []float32
 }

@@ -163,6 +163,20 @@ func TestSimdForcedFallbackBitwiseTuned(t *testing.T) {
 		if MaxAbsDiff(y1, y2) != 0 {
 			t.Fatalf("m=%d: fallback Simd Gemv is not bit-identical to Tuned", m)
 		}
+		f1 := spdBlock(m, rng)
+		f2 := append([]float32(nil), f1...)
+		if !Tuned.Potrf(f1, m) || !Simd.Potrf(f2, m) {
+			t.Fatalf("m=%d: Potrf failed on an SPD block", m)
+		}
+		if LowerMaxAbsDiff(f1, f2, m) != 0 {
+			t.Fatalf("m=%d: fallback Simd Potrf is not bit-identical to Tuned", m)
+		}
+		copy(c2, c1)
+		Tuned.Trsm(f1, c1, m)
+		Simd.Trsm(f1, c2, m)
+		if MaxAbsDiff(c1, c2) != 0 {
+			t.Fatalf("m=%d: fallback Simd Trsm is not bit-identical to Tuned", m)
+		}
 	}
 }
 
@@ -236,6 +250,31 @@ func TestSimdSteadyStateAllocFree(t *testing.T) {
 	Simd.GemmNNS(s, a, b, c, m)
 	if n := testing.AllocsPerRun(20, func() { Simd.GemmNNS(s, a, b, c, m) }); n != 0 {
 		t.Fatalf("per-worker Simd GemmNN allocates %v/op in steady state, want 0", n)
+	}
+	factorAllocFree(t, Simd, m, rng)
+}
+
+// factorAllocFree asserts the provider's Trsm and Potrf allocate
+// nothing per call once one call has warmed the scratch pool.
+func factorAllocFree(t *testing.T, p Provider, m int, rng *rand.Rand) {
+	t.Helper()
+	spd, b := spdBlock(m, rng), randBlock(m, rng)
+	l, work := append([]float32(nil), spd...), make([]float32, m*m)
+	if !p.Potrf(l, m) {
+		t.Fatalf("%s: Potrf failed on an SPD block", p.Name)
+	}
+	p.Trsm(l, work, m)
+	if n := testing.AllocsPerRun(20, func() {
+		copy(work, spd)
+		p.Potrf(work, m)
+	}); n != 0 {
+		t.Fatalf("pooled %s Potrf allocates %v/op in steady state, want 0", p.Name, n)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		copy(work, b)
+		p.Trsm(l, work, m)
+	}); n != 0 {
+		t.Fatalf("pooled %s Trsm allocates %v/op in steady state, want 0", p.Name, n)
 	}
 }
 

@@ -37,10 +37,9 @@ var scalarKernels = []tileKernel{
 // provider's bit-compatible portable fallback.
 var tunedEngine = newEngine("tuned", scalarKernels, tunedDefaults)
 
-// Tuned is the packed scalar micro-kernel provider.  Trsm, Potrf, Add,
-// Sub, Gemv and Trsv are inherited from the Fast provider: they are
-// lower-order or bandwidth-bound sidekicks off the critical kernel
-// path, and the engine's packing layout brings them nothing.
+// Tuned is the packed scalar micro-kernel provider: every level-3
+// kernel, Trsm and Potrf included, runs on the engine (see
+// engineProvider for what stays a Fast loop).
 var Tuned = engineProvider("tuned", tunedEngine)
 
 // The Scratch methods below keep the pre-parameterization API: a

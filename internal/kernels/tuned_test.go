@@ -136,7 +136,8 @@ func TestTunedGemmQuickProperty(t *testing.T) {
 
 // TestTunedSteadyStateAllocFree pins the acceptance criterion: after
 // one warm-up call has populated the scratch pool, the packed path
-// performs zero allocations per invocation on every engine kernel.
+// performs zero allocations per invocation on every engine kernel,
+// the blocked Trsm and Potrf included.
 func TestTunedSteadyStateAllocFree(t *testing.T) {
 	m := 128 // above the crossover, misses Fast's delegation
 	rng := rand.New(rand.NewSource(15))
@@ -156,6 +157,7 @@ func TestTunedSteadyStateAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { s.GemmNN(a, b, c, m) }); n != 0 {
 		t.Fatalf("per-worker GemmNN allocates %v/op in steady state, want 0", n)
 	}
+	factorAllocFree(t, Tuned, m, rng)
 }
 
 // TestScratchPoolRecyclesAcrossClasses exercises the size-class walk:
