@@ -418,6 +418,66 @@ func BenchmarkIndependentTaskThroughput(b *testing.B) {
 	}
 }
 
+// handoffTasks is the task count between barriers in the two hand-off
+// benchmarks: the benchmark module's null workloads use the same.
+const handoffTasks = 250_000
+
+// benchHandoff runs b.N null tasks through a two-thread runtime — the
+// submitter and one worker, live at once — with a Barrier every
+// handoffTasks, and reports ns/task.  What it times is the cross-thread
+// path submit → analyse → insert → push → exec → complete → record
+// return, which is where a cache-line layout regression shows first;
+// bisect with it when benchmark/'s chain_null or fanout_null moves.
+func benchHandoff(b *testing.B, submit func(ctx *core.Context, i int) error) {
+	rt := core.New(core.Config{Workers: 2})
+	defer rt.Close()
+	ctx := rt.Context()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := submit(ctx, i); err != nil {
+			b.Fatal(err)
+		}
+		if (i+1)%handoffTasks == 0 {
+			if err := ctx.Barrier(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := ctx.Barrier(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/task")
+}
+
+// BenchmarkChainHandoff is chain_null's access stream: one inout object,
+// zero parallelism, one successor per completion.
+func BenchmarkChainHandoff(b *testing.B) {
+	def := core.NewTaskDef("chain_t", func(a *core.Args) { a.I64(0)[0]++ })
+	x := make([]int64, 1)
+	benchHandoff(b, func(ctx *core.Context, i int) error {
+		return ctx.Submit(def, core.InOut(x))
+	})
+}
+
+// BenchmarkFanoutHandoff is fanout_null's: 8 shared inputs read beside
+// 1024 inout cells, one cache line per object.
+func BenchmarkFanoutHandoff(b *testing.B) {
+	const nshared, ncells = 8, 1024
+	def := core.NewTaskDef("fanout_t", func(a *core.Args) { a.I64(1)[0] += a.I64(0)[0] })
+	var shared [nshared][]int64
+	var cells [ncells][]int64
+	for i := range shared {
+		shared[i] = make([]int64, 8)
+	}
+	for i := range cells {
+		cells[i] = make([]int64, 8)
+	}
+	benchHandoff(b, func(ctx *core.Context, i int) error {
+		return ctx.Submit(def, core.In(shared[i%nshared]), core.InOut(cells[i%ncells]))
+	})
+}
+
 func sizeName(n int) string {
 	digits := "0123456789"
 	if n == 0 {

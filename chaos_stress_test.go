@@ -162,9 +162,8 @@ func TestChaosFaultedTenantsStayIsolated(t *testing.T) {
 			// Failure-domain invariants that hold for everyone: every
 			// submitted task was either executed or skipped-and-counted,
 			// and the skips still drained the pooled rename storage.
-			if st.TasksExecuted+st.Poisoned+st.Canceled != st.TasksSubmitted {
-				t.Errorf("tenant %d: executed %d + poisoned %d + canceled %d != submitted %d",
-					i, st.TasksExecuted, st.Poisoned, st.Canceled, st.TasksSubmitted)
+			if err := statsConserved(st); err != nil {
+				t.Errorf("tenant %d: %v", i, err)
 			}
 			if st.LiveRenamedBytes != 0 {
 				t.Errorf("tenant %d: %d renamed bytes live after drain", i, st.LiveRenamedBytes)

@@ -1,6 +1,7 @@
 // Command smpssvet runs the project's static-analysis suite
-// (internal/lint): five analyzers encoding the runtime's concurrency
-// and wiring invariants — mixed atomic/plain field access, trace-event
+// (internal/lint): six analyzers encoding the runtime's concurrency,
+// layout and wiring invariants — mixed atomic/plain field access,
+// cache-line separation of fields with different writers, trace-event
 // wiring, discarded Submit errors, chaos-site installation, and
 // canonical shard lock order.
 //

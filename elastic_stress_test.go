@@ -146,9 +146,8 @@ func TestElasticAccountsEveryTask(t *testing.T) {
 
 	for i, c := range ctxs {
 		st := c.Stats()
-		if st.TasksExecuted+st.Poisoned+st.Canceled != st.TasksSubmitted {
-			t.Errorf("tenant %d: executed %d + poisoned %d + canceled %d != submitted %d",
-				i, st.TasksExecuted, st.Poisoned, st.Canceled, st.TasksSubmitted)
+		if err := statsConserved(st); err != nil {
+			t.Errorf("tenant %d: %v", i, err)
 		}
 		if st.LiveRenamedBytes != 0 {
 			t.Errorf("tenant %d: %d renamed bytes live after drain", i, st.LiveRenamedBytes)

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cacheline"
 	"repro/internal/chaos"
 	"repro/internal/deps"
 	"repro/internal/graph"
@@ -100,61 +101,85 @@ type ContextConfig struct {
 // goroutines — that is the point of the pool — but one context must
 // never be driven from two.
 type Context struct {
-	pool *Pool
-	cfg  ContextConfig
+	// Read by every exec on every worker and written only at
+	// construction, when the submitter blocks (waiters), or when the
+	// context fails, is canceled or closes.
+	pool *Pool         //smpss:writer=shared
+	cfg  ContextConfig //smpss:writer=shared
 	// slot is the submitter's worker identity (== the context's slot in
 	// the pool's context table, below MaxContexts).
-	slot int
+	slot int //smpss:writer=shared
 	// id is the context's stable trace identity, unique for the life of
 	// the pool (slots are recycled; ids are not).
-	id int
+	id int //smpss:writer=shared
 
-	g     *graph.Graph
-	tr    *deps.Tracker
-	q     *sched.Client
-	tracr *trace.Tracer
-
-	outstanding atomic.Int64
-	submitted   atomic.Int64
-	executed    atomic.Int64
-	mainHelped  atomic.Int64
-	syncCopies  atomic.Int64
-	waiters     atomic.Int64
-	chainHits   atomic.Int64
-
-	// Submission scratch reused across submissions to keep
-	// the per-task tracker entry allocation-free.  Guarded by the
-	// single-submitter contract.
-	accBuf []deps.Access
-	resBuf []deps.Resolution
-	ixBuf  []int
-
-	// recs recycles task records: exec frees, submitOne reuses.
-	recs deps.FreeList[taskRec]
-
-	// Everything below is written only when a task fails or the context
-	// is canceled or closed, and the 64 bytes before canceled hold
-	// nothing else: every exec on every worker reads that flag, so it
-	// must not share a cache line with what the submitter writes per
-	// task (next to the scratch above it cost chain_null 2–14 % of
-	// wall_s, depending on where the allocator put the Context).
-	failures    atomic.Int64
-	poisonSkips atomic.Int64
-	cancelSkips atomic.Int64
+	g     *graph.Graph  //smpss:writer=shared
+	tr    *deps.Tracker //smpss:writer=shared
+	q     *sched.Client //smpss:writer=shared
+	tracr *trace.Tracer //smpss:writer=shared
 
 	// errMu guards the two sticky error latches.  firstErr is the first
 	// task failure (clearable with ClearErr); cancelErr is set once by
 	// cancel and never cleared.  cancelErr is always stored before the
 	// canceled flag, so any reader that observes the flag finds the
 	// error.
-	errMu     sync.Mutex
-	firstErr  error
-	cancelErr error
+	errMu     sync.Mutex //smpss:writer=shared
+	firstErr  error      //smpss:writer=shared
+	cancelErr error      //smpss:writer=shared
 
-	canceled atomic.Bool
-	closed   atomic.Bool
+	canceled atomic.Bool //smpss:writer=shared
+	closed   atomic.Bool //smpss:writer=shared
 	// deadline is the ContextConfig.Deadline timer, stopped at Close.
-	deadline *time.Timer
+	deadline *time.Timer //smpss:writer=shared
+
+	_ cacheline.Pad
+
+	// waiters is nonzero while the submitter is inside helpOnce; a
+	// completion wakes its slot only then.  Every exec reads it and the
+	// submitter writes it only around a blocking wait, so it has a line
+	// to itself: with the handles above, a throttled submitter would take
+	// them out of the workers' caches per helped task; with submitted
+	// below, every exec would miss on it.
+	waiters atomic.Int64 //smpss:writer=submitter
+
+	_ cacheline.Pad
+
+	// Written by the submitter on every Submit, under the
+	// single-submitter contract.  submitted is atomic for Stats and
+	// Pool.Drain, which read it from other goroutines.
+	submitted atomic.Int64 //smpss:writer=submitter
+	// completedSeen is the completion count as of the submitter's last
+	// look at the workers' line (open): submitted - completedSeen bounds
+	// the open tasks from above, so throttle rereads that line only when
+	// the bound reaches the limit.
+	completedSeen int64        //smpss:writer=submitter
+	syncCopies    atomic.Int64 //smpss:writer=submitter
+
+	// Submission scratch reused across submissions to keep
+	// the per-task tracker entry allocation-free.
+	accBuf []deps.Access     //smpss:writer=submitter
+	resBuf []deps.Resolution //smpss:writer=submitter
+	ixBuf  []int             //smpss:writer=submitter
+
+	// recs recycles task records: exec frees, submitOne reuses.  Its Get
+	// side closes the submitter's group, its Put side opens the workers'.
+	recs deps.FreeList[taskRec]
+
+	// Written by whichever thread executes one of the context's tasks.
+	//
+	// completed counts tasks finished, body run or skipped, record back
+	// on the free list; submitted - completed is the number of open tasks.
+	// It is bumped last, so once it has reached submitted every counter
+	// below holds its final value.
+	completed   atomic.Int64 //smpss:writer=worker
+	executed    atomic.Int64 //smpss:writer=worker
+	mainHelped  atomic.Int64 //smpss:writer=worker
+	chainHits   atomic.Int64 //smpss:writer=worker
+	failures    atomic.Int64 //smpss:writer=worker
+	poisonSkips atomic.Int64 //smpss:writer=worker
+	cancelSkips atomic.Int64 //smpss:writer=worker
+
+	_ cacheline.Pad
 }
 
 // NewContext attaches a new context to the pool.  It returns a
@@ -309,6 +334,21 @@ func (c *Context) Stats() Stats {
 	}
 }
 
+// drained reports whether every submitted task has completed.
+func (c *Context) drained() bool {
+	// Pool.Drain asks from another goroutine: completed is read first, so
+	// the count cannot include a task the reading of submitted misses.
+	done := c.completed.Load()
+	return done == c.submitted.Load()
+}
+
+// open returns the number of submitted tasks not yet completed, and
+// remembers the completion count it read.  Submitter only.
+func (c *Context) open() int64 {
+	c.completedSeen = c.completed.Load()
+	return c.submitted.Load() - c.completedSeen
+}
+
 // liveRenamedBytes returns the memory-limit gauge: bytes of renamed
 // storage alive in this context right now — the tracker pool's
 // acquire/release gauge, which also covers storage kept alive by
@@ -371,26 +411,27 @@ func (c *Context) NewBatch() *Batch { return &Batch{c: c} }
 // submitter and never blocks the pool's workers, so it cannot starve
 // the other contexts.
 func (c *Context) throttle() {
-	if limit := int64(c.cfg.GraphLimit); limit > 0 {
-		if c.g.Open() >= limit {
-			low := limit - limit/4
-			// One closure per episode, not per helped task: it escapes.
-			drained := func() bool { return c.g.Open() < low }
-			for !drained() {
-				if !c.helpOnce(drained) {
-					break
-				}
+	// submitted - completedSeen never undercounts the open tasks, so
+	// below the limit the workers' line is left alone.
+	if limit := int64(c.cfg.GraphLimit); limit > 0 &&
+		c.submitted.Load()-c.completedSeen >= limit && c.open() >= limit {
+		low := limit - limit/4
+		// One closure per episode, not per helped task: it escapes.
+		drained := func() bool { return c.open() < low }
+		for !drained() {
+			if !c.helpOnce(drained) {
+				break
 			}
 		}
 	}
 	if limit := c.cfg.MemoryLimit; limit > 0 {
 		for c.liveRenamedBytes() >= limit {
-			if c.outstanding.Load() == 0 {
+			if c.drained() {
 				c.syncCopies.Add(int64(c.tr.SyncAll()))
 				break
 			}
 			c.helpOnce(func() bool {
-				return c.liveRenamedBytes() < limit || c.outstanding.Load() == 0
+				return c.liveRenamedBytes() < limit || c.drained()
 			})
 		}
 	}
@@ -470,7 +511,6 @@ func (c *Context) submitOne(def *TaskDef, args []Arg) {
 	clear(ress)
 	c.accBuf, c.resBuf, c.ixBuf = accs, ress, ixs
 	c.submitted.Add(1)
-	c.outstanding.Add(1)
 	c.tracr.EmitCtx(c.id, c.slot, trace.EvCreate, def.kind, def.Name, node.ID)
 	c.g.Seal(node)
 }
@@ -499,8 +539,9 @@ func (c *Context) exec(n *graph.Node, self int) {
 		// including the renamed-inout seed copies, whose sources may be
 		// garbage — but still completes the node below, so edges,
 		// version refcounts and pooled rename storage drain exactly as
-		// on the success path.
-		skipped := true
+		// on the success path.  Skips complete without executing, so
+		// TasksExecuted keeps meaning "bodies run"; the skip counters
+		// hold the rest.
 		if c.canceled.Load() {
 			c.cancelSkips.Add(1)
 			c.tracr.EmitCtx(c.id, self, trace.EvCanceled, n.Kind, rec.def.Name, n.ID)
@@ -508,7 +549,6 @@ func (c *Context) exec(n *graph.Node, self int) {
 			c.poisonSkips.Add(1)
 			c.tracr.EmitCtx(c.id, self, trace.EvPoisoned, n.Kind, rec.def.Name, n.ID)
 		} else {
-			skipped = false
 			// Seed renamed inout parameters.  The RAW edge on the previous
 			// producer guarantees the source contents are final.
 			for i := range rec.args {
@@ -520,6 +560,7 @@ func (c *Context) exec(n *graph.Node, self int) {
 			c.tracr.EmitCtx(c.id, self, trace.EvStart, n.Kind, rec.def.Name, n.ID)
 			c.runBody(rec, n, self)
 			c.tracr.EmitCtx(c.id, self, trace.EvEnd, n.Kind, rec.def.Name, n.ID)
+			c.executed.Add(1)
 		}
 		var next *graph.Node
 		if chained < c.cfg.Locality.ChainDepth && !c.q.HighPending() {
@@ -527,20 +568,16 @@ func (c *Context) exec(n *graph.Node, self int) {
 		} else {
 			c.g.Complete(n, self)
 		}
-		if !skipped {
-			// Skips complete without executing, so TasksExecuted keeps
-			// meaning "bodies run"; the skip counters hold the rest.
-			c.executed.Add(1)
-		}
 		// Before the count below lets a Barrier return, so a drained
 		// context has every record back on its free list.
 		c.freeRec(rec)
-		if c.outstanding.Add(-1) == 0 || c.waiters.Load() > 0 {
-			// Wake this context's blocked Barrier/WaitOn/throttle caller so
-			// it re-checks its condition.  Only the context's submitter waits
-			// on cancel conditions, so the wake targets its slot rather than
-			// broadcasting to every parked worker on every completion — and a
-			// completion in this context never wakes another tenant.
+		// The count, then the look at waiters; the submitter announces
+		// itself in waiters, then looks at the count (helpOnce).  One of
+		// the two sees the other, so a submitter that parks is woken —
+		// at its own slot, never another tenant's and never a worker's —
+		// and one that is not waiting costs this completion no wake.
+		c.completed.Add(1)
+		if c.waiters.Load() > 0 {
 			c.pool.mux.Wake(c.slot)
 		}
 		if next == nil {
@@ -615,7 +652,7 @@ func (c *Context) helpOnce(done func() bool) bool {
 // still wins).  Other contexts on the pool are unaffected.
 func (c *Context) Barrier() error {
 	c.tracr.EmitCtx(c.id, c.slot, trace.EvBarrier, -1, "", 0)
-	drained := func() bool { return c.outstanding.Load() == 0 }
+	drained := c.drained // one method value per Barrier: it escapes
 	for !drained() {
 		c.helpOnce(drained)
 	}

@@ -66,6 +66,11 @@ func TestPoolSharedByConcurrentContexts(t *testing.T) {
 			if st.TasksExecuted != chains*(depth+1) {
 				t.Errorf("client %d executed %d tasks, want %d", k, st.TasksExecuted, chains*(depth+1))
 			}
+			// Workers of the shared pool count this context's completions.
+			if !c.drained() || c.g.Added() != st.TasksSubmitted {
+				t.Errorf("client %d: after Barrier %d of %d submitted tasks are open, the graph added %d",
+					k, c.open(), st.TasksSubmitted, c.g.Added())
+			}
 		}(k)
 	}
 	wg.Wait()

@@ -353,7 +353,7 @@ func (p *Pool) Drain(timeout time.Duration) error {
 		// Wait out the tenant's in-flight tasks: everything not yet
 		// started skips, and running bodies finish (cancellation never
 		// interrupts a body mid-write).
-		for c.outstanding.Load() > 0 {
+		for !c.drained() {
 			p.mux.Kick()
 			time.Sleep(100 * time.Microsecond)
 		}

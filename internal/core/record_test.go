@@ -19,7 +19,7 @@ var nopDef = NewTaskDef("nop", func(a *Args) {})
 // waitDrained spins until every submitted task has completed and its
 // record is back on the free list, without the sync-back a Barrier does.
 func waitDrained(c *Context) {
-	for c.outstanding.Load() > 0 {
+	for !c.drained() {
 		runtime.Gosched()
 	}
 }

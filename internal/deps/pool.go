@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cacheline"
 	"repro/internal/chaos"
 	"repro/internal/dataid"
 )
@@ -365,16 +366,22 @@ const maxFreeRecords = 1 << 15
 // submission loop allocates nothing.
 //
 // Records are freed by workers and reused by the submitter, so the list
-// has two sides.  Put pushes onto a mutex-guarded stack.  Get belongs to
-// one thread at a time (its callers serialize: the single submitter, or
-// whoever holds the tracker shard's lock) and pops a private batch,
-// taking the lock only to swap an exhausted batch for everything freed
-// meanwhile.  The zero value is ready to use.
+// has two sides, a line of padding apart.  Put pushes onto a mutex-guarded
+// stack.  Get belongs to one thread at a time (its callers serialize: the
+// single submitter, or whoever holds the tracker shard's lock) and pops a
+// private batch, taking the lock only to swap an exhausted batch for
+// everything freed meanwhile.  The trailing padding keeps the Put side
+// off whatever the enclosing struct, or the heap, puts next.  The zero
+// value is ready to use.
 type FreeList[T any] struct {
-	ready []*T // Get side
+	ready []*T //smpss:writer=submitter
 
-	mu    sync.Mutex
-	freed []*T // Put side
+	_ cacheline.Pad
+
+	mu    sync.Mutex //smpss:writer=worker
+	freed []*T       //smpss:writer=worker
+
+	_ cacheline.Pad
 }
 
 // Get removes and returns a freed record, or nil.

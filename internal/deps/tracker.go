@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cacheline"
 	"repro/internal/graph"
 )
 
@@ -324,18 +325,20 @@ func (s *Stats) add(o Stats) {
 }
 
 // shard is one lock stripe of the tracker: a mutex, the objects hashed
-// onto the stripe, and the stripe's share of the counters.  The trailing
-// padding keeps neighbouring shards off the same cache line so that
-// concurrent submitters do not false-share the mutexes.
+// onto the stripe, and the stripe's share of the counters — all touched
+// only under mu, which only analysing (submitting) threads and snapshot
+// readers take.  A completing worker reaches a shard through a dying
+// version only: the Put side of versions and the pool pointer, both a
+// line away from what the submitter writes and from the next shard.
 type shard struct {
-	mu      sync.Mutex
-	objects map[uintptr]*object
-	stats   Stats
+	mu      sync.Mutex          //smpss:writer=submitter
+	objects map[uintptr]*object //smpss:writer=submitter
+	stats   Stats               //smpss:writer=submitter
 	// versions recycles the dead versions of the stripe's objects: Get
 	// under mu, Put from whichever thread drops a last reference.
 	versions FreeList[version]
-	pool     *Pool // the tracker's
-	_        [64]byte
+	pool     *Pool //smpss:writer=worker
+	_        cacheline.Pad
 }
 
 // MaxShards caps the shard count so the batched-analysis lock set fits in
@@ -553,7 +556,13 @@ func (t *Tracker) analyzeIn(sh *shard, node *graph.Node, obj *object) Resolution
 	v := obj.cur
 	t.trueDep(sh, node, v)
 	t.hintAffinity(node, v)
-	v.pruneReaders()
+	// The list is read only by falseEdges and flipToRegioned, which prune
+	// it themselves; here completed readers are dropped when the list is
+	// full, instead of growing it — one walk per len(readers) reads, not
+	// one per read, and at most twice the live readers of its last walk.
+	if len(v.readers) == cap(v.readers) {
+		v.pruneReaders()
+	}
 	v.readers = append(v.readers, node.Ref())
 	v.nreaders.Add(1)
 	v.refs.Add(1)

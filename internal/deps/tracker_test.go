@@ -440,6 +440,44 @@ func TestCompletedPredecessorsPrunedLazily(t *testing.T) {
 	}
 }
 
+// TestReaderListStaysBounded: a read prunes the version's reader list
+// only when the list is full, so the list may hold completed readers —
+// but never more than twice the live readers of its last walk (plus the
+// allocator's rounding), however many reads go by.  A worker drains the
+// readers while 100 000 of them are analysed against one object.
+func TestReaderListStaysBounded(t *testing.T) {
+	const reads, inFlight = 100_000, 48
+	ready := make(chan *graph.Node, inFlight) // bounds the live readers
+	g := graph.New(func(n *graph.Node, by int) { ready <- n })
+	tr := NewTracker(g)
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for n := range ready {
+			g.Complete(n, 0)
+		}
+	}()
+	x := make([]float32, 4)
+	acc := f32Access(x, ModeIn)
+	peak := 0
+	for i := 0; i < reads; i++ {
+		n := g.AddNode(0, "r", false, nil)
+		tr.Analyze(n, acc)
+		g.Seal(n)
+		// Only this thread touches the list; the worker moves nreaders.
+		v := tr.shardOf(acc.Key).objects[acc.Key].cur
+		peak = max(peak, int(v.nreaders.Load()))
+		if len(v.readers) > 2*peak+8 {
+			t.Fatalf("read %d: reader list holds %d entries with at most %d readers ever live", i, len(v.readers), peak)
+		}
+	}
+	close(ready)
+	<-drained
+	if peak < 2 || peak > inFlight+2 {
+		t.Fatalf("peak live readers = %d, want between 2 and %d", peak, inFlight+2)
+	}
+}
+
 func TestConcurrentAnalyzeAndComplete(t *testing.T) {
 	// Stress Analyze racing with completions: the lazy producer/reader
 	// pruning reads node state that a completer goroutine flips
@@ -468,8 +506,9 @@ func TestConcurrentAnalyzeAndComplete(t *testing.T) {
 		g.Seal(n)
 	}
 	<-completerDone
-	if g.Open() != 0 {
-		t.Fatalf("open = %d after draining", g.Open())
+	// The completer took nTasks nodes off ready: every node became ready.
+	if g.Added() != nTasks {
+		t.Fatalf("added = %d, want %d", g.Added(), nTasks)
 	}
 	st := tr.Stats()
 	if st.Objects != int64(len(bufs)) {

@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/cacheline"
 )
 
 // NodeState enumerates the lifecycle of a task node.
@@ -205,16 +207,21 @@ func (n *Node) AddHold(h Holder) { n.holds = append(n.holds, h) }
 //
 // The submitting (main) thread adds nodes and edges; worker threads
 // complete nodes concurrently.  All cross-thread coordination happens via
-// per-node atomics plus a short critical section per edge endpoint.
+// per-node atomics plus a short critical section per edge endpoint; the
+// graph itself holds nothing a completion writes, so workers only read
+// its first line and the submitter owns the second.
 type Graph struct {
-	nextID  atomic.Int64
-	open    atomic.Int64 // nodes added but not yet completed
-	added   atomic.Int64
-	edges   atomic.Int64
-	readyCB func(n *Node, releasedBy int)
+	readyCB func(n *Node, releasedBy int) //smpss:writer=shared
+	// rec is nil unless a Recorder is attached, so Init and AddEdge pay
+	// one load for it, not a lock.
+	rec atomic.Pointer[Recorder] //smpss:writer=shared
 
-	recMu sync.Mutex
-	rec   *Recorder
+	_ cacheline.Pad
+
+	nextID atomic.Int64 //smpss:writer=submitter
+	edges  atomic.Int64 //smpss:writer=submitter
+
+	_ cacheline.Pad
 }
 
 // New creates a graph.  ready is invoked exactly once per node when its
@@ -228,13 +235,8 @@ func New(ready func(n *Node, releasedBy int)) *Graph {
 	return &Graph{readyCB: ready}
 }
 
-// Open returns the number of nodes that have been added but have not yet
-// completed.  The runtime uses it to throttle the main thread when the
-// graph grows past its configured limit (paper §III: "a graph size limit").
-func (g *Graph) Open() int64 { return g.open.Load() }
-
 // Added returns the total number of nodes ever added.
-func (g *Graph) Added() int64 { return g.added.Load() }
+func (g *Graph) Added() int64 { return g.nextID.Load() }
 
 // Edges returns the total number of true-dependency edges ever added.
 func (g *Graph) Edges() int64 { return g.edges.Load() }
@@ -263,13 +265,9 @@ func (g *Graph) Init(n *Node, kind int, label string, priority bool, payload any
 	n.pending.Store(1) // construction hold
 	// Last, after the ID: see Ref.Done.
 	n.state.Store(int32(StateBuilding))
-	g.open.Add(1)
-	g.added.Add(1)
-	g.recMu.Lock()
-	if g.rec != nil {
-		g.rec.addNode(n)
+	if r := g.rec.Load(); r != nil {
+		r.addNode(n)
 	}
-	g.recMu.Unlock()
 }
 
 // AddEdge records a true dependency from → to: "to" may not start until
@@ -304,11 +302,9 @@ func (g *Graph) AddEdge(from, to *Node) {
 	to.npred.Add(1)
 	g.edges.Add(1)
 
-	g.recMu.Lock()
-	if g.rec != nil {
-		g.rec.addEdge(from.ID, to.ID)
+	if r := g.rec.Load(); r != nil {
+		r.addEdge(from.ID, to.ID)
 	}
-	g.recMu.Unlock()
 }
 
 // Seal ends the construction of n.  If no incomplete predecessors remain,
@@ -401,6 +397,5 @@ func (g *Graph) complete(n *Node, worker int, chain bool) *Node {
 	clear(n.holds)
 	n.holds = n.holds[:0]
 	n.Payload = nil
-	g.open.Add(-1)
 	return kept
 }

@@ -146,23 +146,14 @@ func TestDiamondDependency(t *testing.T) {
 	}
 }
 
-func TestOpenCount(t *testing.T) {
+func TestAddedCount(t *testing.T) {
 	g, _ := collectReady()
 	a := g.AddNode(0, "a", false, nil)
 	g.Seal(a)
 	b := g.AddNode(0, "b", false, nil)
 	g.Seal(b)
-	if g.Open() != 2 {
-		t.Fatalf("Open = %d, want 2", g.Open())
-	}
 	g.Complete(a, 0)
-	if g.Open() != 1 {
-		t.Fatalf("Open = %d, want 1", g.Open())
-	}
 	g.Complete(b, 0)
-	if g.Open() != 0 {
-		t.Fatalf("Open = %d, want 0", g.Open())
-	}
 	if g.Added() != 2 {
 		t.Fatalf("Added = %d, want 2", g.Added())
 	}
@@ -414,8 +405,8 @@ func TestInitStartsNewLife(t *testing.T) {
 	if len(h.tags) != 1 {
 		t.Fatalf("first life's hold released again: %v", h.tags)
 	}
-	if log.len() != 3 || g.Open() != 1 {
-		t.Fatalf("ready events %d (want 3), open %d (want 1: succ)", log.len(), g.Open())
+	if log.len() != 3 || succ.State() != StateReady {
+		t.Fatalf("ready events %d (want 3), succ %v (want ready, not run)", log.len(), succ.State())
 	}
 }
 

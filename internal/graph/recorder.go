@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Recorder retains the full structure of a graph (nodes and edges) so it
@@ -16,6 +17,9 @@ import (
 // Recording is optional and off by default because a long-running program
 // generates an unbounded number of tasks.
 type Recorder struct {
+	// mu serializes the graph's appends: nodes come from the submitting
+	// thread only, but nothing makes that a rule for edges.
+	mu    sync.Mutex
 	nodes []recNode
 	edges []recEdge
 }
@@ -31,27 +35,21 @@ type recEdge struct{ from, to int64 }
 
 // Attach starts recording every subsequently added node and edge.
 // It must be called before any tasks are submitted.
-func (g *Graph) Attach(r *Recorder) {
-	g.recMu.Lock()
-	g.rec = r
-	g.recMu.Unlock()
-}
+func (g *Graph) Attach(r *Recorder) { g.rec.Store(r) }
 
 // Detach stops recording and returns the recorder.
-func (g *Graph) Detach() *Recorder {
-	g.recMu.Lock()
-	r := g.rec
-	g.rec = nil
-	g.recMu.Unlock()
-	return r
-}
+func (g *Graph) Detach() *Recorder { return g.rec.Swap(nil) }
 
 func (r *Recorder) addNode(n *Node) {
+	r.mu.Lock()
 	r.nodes = append(r.nodes, recNode{id: n.ID, kind: n.Kind, label: n.Label, prio: n.Priority})
+	r.mu.Unlock()
 }
 
 func (r *Recorder) addEdge(from, to int64) {
+	r.mu.Lock()
 	r.edges = append(r.edges, recEdge{from: from, to: to})
+	r.mu.Unlock()
 }
 
 // NumNodes returns the number of recorded task instances.

@@ -98,9 +98,9 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestRegistry pins the five shipped analyzers by name.
+// TestRegistry pins the six shipped analyzers by name.
 func TestRegistry(t *testing.T) {
-	want := []string{"atomicfield", "chaossite", "lockorder", "submiterr", "traceevent"}
+	want := []string{"atomicfield", "cacheline", "chaossite", "lockorder", "submiterr", "traceevent"}
 	var got []string
 	for _, a := range Analyzers() {
 		got = append(got, a.Name)

@@ -6,8 +6,9 @@
 // `//lint:allow <analyzer> <reason>` suppressions.
 //
 // The analyzers encode invariants the runtime states in prose — mixed
-// atomic/plain field access, four-file trace-event wiring, discarded
-// Submit errors, chaos-site installation and disarmed-path shape, and
+// atomic/plain field access, a line of padding between fields with
+// different writers, four-file trace-event wiring, discarded Submit
+// errors, chaos-site installation and disarmed-path shape, and
 // canonical shard lock order — so `smpssvet ./...` (cmd/smpssvet) can
 // enforce in CI what until now only reviewer memory enforced.
 package lint
@@ -40,6 +41,11 @@ type Program struct {
 	// has no go.mod (golden-test fixtures).
 	ModulePath string
 	Units      []*Unit
+	// Sources is every non-test file the load parsed: the units' own and
+	// those of module packages the units only import, which a rule that
+	// reads declarations' comments (cacheline's writer tags) needs to
+	// judge a type that embeds a struct of such a package.
+	Sources []*ast.File
 }
 
 // Unit is one typechecked analysis unit: either a package's primary
@@ -152,6 +158,9 @@ func Load(root string, patterns ...string) (*Program, error) {
 				Path: path, Dir: dir, XTest: true, Files: c.files, Pkg: c.pkg, Info: c.info,
 			})
 		}
+	}
+	for _, df := range ld.dirs {
+		prog.Sources = append(prog.Sources, df.prim...)
 	}
 	return prog, nil
 }
@@ -325,6 +334,11 @@ func (ld *loader) loadClean(path string) (*checked, error) {
 	return c, nil
 }
 
+// sizes is the gc compiler's layout for the architecture the analysis
+// runs on: what the typechecker folds unsafe.Sizeof with and what the
+// cacheline analyzer measures field offsets by.
+var sizes = types.SizesFor("gc", build.Default.GOARCH)
+
 // check typechecks files as one package with the loader as importer.
 func (ld *loader) check(path string, files []*ast.File) (*checked, error) {
 	info := &types.Info{
@@ -337,7 +351,7 @@ func (ld *loader) check(path string, files []*ast.File) (*checked, error) {
 	var errs []error
 	conf := types.Config{
 		Importer: ld,
-		Sizes:    types.SizesFor("gc", build.Default.GOARCH),
+		Sizes:    sizes,
 		Error:    func(err error) { errs = append(errs, err) },
 	}
 	pkg, _ := conf.Check(path, ld.fset, files, info)

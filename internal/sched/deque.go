@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"sync"
 
+	"repro/internal/cacheline"
 	"repro/internal/graph"
 )
 
@@ -27,13 +28,17 @@ const defaultDequeCap = 256
 // steals, so a lock-free Chase–Lev structure would buy nothing.  What
 // matters for scale is that the mutex is *per worker*: pushes and pops
 // by distinct workers never serialize against each other the way the
-// old global condvar-guarded lists did.
+// old global condvar-guarded lists did.  The same goes for the memory:
+// deques sit in a slice, and the padding puts a full line between one
+// worker's fields and the next's (without it a helping submitter's pops
+// on deque 0 and the worker's on deque 1 write one line).
 type deque struct {
 	mu   sync.Mutex
 	buf  []*graph.Node
 	mask int
 	head int // index of the oldest element
 	tail int // index one past the newest element
+	_    cacheline.Pad
 }
 
 // init sizes the ring; cap is rounded up to a power of two.

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cacheline"
 	"repro/internal/chaos"
 	"repro/internal/graph"
 )
@@ -23,21 +24,29 @@ import (
 // queued.  A Client belongs to exactly one context and is created by
 // TokenMux.Attach.
 type Client struct {
-	policy Policy
-	slot   int
+	policy Policy //smpss:writer=shared
+	slot   int    //smpss:writer=shared
+
+	_ cacheline.Pad
 
 	// queued counts tasks pushed but not yet popped — the per-context
 	// in-flight gauge.  Workers use it to skip empty clients without
 	// touching the policy's locks, and a context's barrier helper uses
-	// it to park instead of spinning on an empty queue.
-	queued atomic.Int64
+	// it to park instead of spinning on an empty queue.  Every push and
+	// every pop writes it, from whichever thread: a line of its own.
+	queued atomic.Int64 //smpss:writer=worker
+
+	_ cacheline.Pad
 
 	// waiting marks the client's submitter parked in a restricted Get
 	// (helping only its own context).  Restricted waiters stay off the
 	// mux's global idle stack — a push to context B must never spend its
 	// only wakeup on context A's submitter, which would recheck A, find
-	// nothing, and park again while B's task strands.
-	waiting atomic.Bool
+	// nothing, and park again while B's task strands.  Every waking push
+	// reads it; only the submitter's parking writes it.
+	waiting atomic.Bool //smpss:writer=submitter
+
+	_ cacheline.Pad
 }
 
 // Slot returns the worker identity of the client's submitter.

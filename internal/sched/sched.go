@@ -127,8 +127,10 @@ type Locality struct {
 	localSteals, remoteSteals      atomic.Int64
 	spills                         atomic.Int64
 	affinityPushes, affinityMisses atomic.Int64
-	// highLen mirrors high's length so the wake-elision check on the
-	// self-push fast path costs one atomic load, not a queue lock.
+	// highLen mirrors high's length, so a lookup that finds it zero —
+	// every lookup of a program without high-priority tasks — never
+	// touches high's lock, and the wake-elision check on the self-push
+	// fast path costs one load.
 	highLen atomic.Int64
 }
 
@@ -201,6 +203,9 @@ func (s *Locality) Push(n *graph.Node, releasedBy int) bool {
 	case n.Priority:
 		// High-priority tasks are scheduled as soon as possible
 		// independently of any locality consideration (paper §III).
+		// Queue, count, and only then let the caller wake (the mux does, on
+		// our true): a lookup that read highLen before the count skips the
+		// list, and the wake sends it round again.
 		s.high.pushBack(n)
 		s.highLen.Add(1)
 		s.pushHigh.Add(1)
@@ -278,10 +283,12 @@ func (s *Locality) redirect(h int) int {
 // high-priority list, own deque (LIFO), injector (FIFO), then steal half
 // of another worker's deque in creation order starting from the next one.
 func (s *Locality) TryNext(self int) *graph.Node {
-	if n := s.high.popFront(); n != nil {
-		s.highLen.Add(-1)
-		s.popHigh.Add(1)
-		return n
+	if s.highLen.Load() > 0 {
+		if n := s.high.popFront(); n != nil {
+			s.highLen.Add(-1)
+			s.popHigh.Add(1)
+			return n
+		}
 	}
 	if self < 0 || self >= len(s.deques) {
 		self = 0
@@ -410,18 +417,21 @@ type GlobalFIFO struct {
 
 	pushHigh, pushMain atomic.Int64
 	popHigh, popMain   atomic.Int64
+	// highLen mirrors high's length, as Locality's does.
+	highLen atomic.Int64
 }
 
 // NewGlobalFIFO creates the central-queue ablation policy.
 func NewGlobalFIFO() *GlobalFIFO { return &GlobalFIFO{} }
 
 // HighPending implements Policy.
-func (s *GlobalFIFO) HighPending() bool { return s.high.size() > 0 }
+func (s *GlobalFIFO) HighPending() bool { return s.highLen.Load() > 0 }
 
 // Push implements Policy.
 func (s *GlobalFIFO) Push(n *graph.Node, releasedBy int) bool {
 	if n.Priority {
 		s.high.pushBack(n)
+		s.highLen.Add(1)
 		s.pushHigh.Add(1)
 		return true
 	}
@@ -432,9 +442,12 @@ func (s *GlobalFIFO) Push(n *graph.Node, releasedBy int) bool {
 
 // TryNext implements Policy.
 func (s *GlobalFIFO) TryNext(self int) *graph.Node {
-	if n := s.high.popFront(); n != nil {
-		s.popHigh.Add(1)
-		return n
+	if s.highLen.Load() > 0 {
+		if n := s.high.popFront(); n != nil {
+			s.highLen.Add(-1)
+			s.popHigh.Add(1)
+			return n
+		}
 	}
 	if n := s.main.popFront(); n != nil {
 		s.popMain.Add(1)

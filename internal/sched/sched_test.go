@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -346,5 +348,76 @@ func TestAffinityPushPlacement(t *testing.T) {
 	solo.Push(n3, graph.MainThread)
 	if st := solo.Stats(); st.AffinityPushes != 1 {
 		t.Fatalf("solo-executor pool must honor the helper hint: %+v", st)
+	}
+}
+
+// TestHighPriorityPushNeverStranded: a lookup skips the high-priority
+// list while highLen reads zero, so a push must count the task before
+// the mux wakes anybody.  Workers that are parked, about to park, or in
+// the middle of a scan when the push lands must all end up running the
+// task: every round waits for its own high-priority task, and a stranded
+// one fails the round instead of being picked up by the next push.
+func TestHighPriorityPushNeverStranded(t *testing.T) {
+	rounds := 20000
+	if testing.Short() {
+		rounds = 2000
+	}
+	policies := map[string]func() Policy{
+		"locality": func() Policy { return NewLocality(4) },
+		"fifo":     func() Policy { return NewGlobalFIFO() },
+	}
+	for name, policy := range policies {
+		for _, procs := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/procs%d", name, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				const workers = 3
+				m := NewTokenMux(workers + 1)
+				c := m.Attach(policy(), 0)
+				var high, low atomic.Int64
+				var wg sync.WaitGroup
+				for w := 1; w <= workers; w++ {
+					wg.Add(1)
+					go func(self int) {
+						defer wg.Done()
+						for n := m.Get(self, nil, nil); n != nil; n = m.Get(self, nil, nil) {
+							if n.Priority {
+								high.Add(1)
+							} else {
+								low.Add(1)
+							}
+						}
+					}(w)
+				}
+				for i := 1; i <= rounds; i++ {
+					// Thirds: workers parked, workers scanning for a plain
+					// task pushed just before, workers wherever they are.
+					switch i % 3 {
+					case 0:
+						for m.nidle.Load() < workers {
+							runtime.Gosched()
+						}
+					case 1:
+						m.Push(c, mkNode(int64(-i), false), graph.MainThread)
+					}
+					m.Push(c, mkNode(int64(i), true), graph.MainThread)
+					deadline := time.Now().Add(5 * time.Second)
+					for high.Load() < int64(i) {
+						if time.Now().After(deadline) {
+							t.Fatalf("round %d: high-priority task stranded (%d queued, %d workers idle)",
+								i, c.policy.Len(), m.nidle.Load())
+						}
+						runtime.Gosched()
+					}
+				}
+				m.Close()
+				wg.Wait()
+				if want := int64((rounds + 2) / 3); low.Load() != want {
+					t.Fatalf("plain tasks run = %d, want %d", low.Load(), want)
+				}
+				if st := c.Stats(); st.PushHigh != int64(rounds) || st.PopHigh != int64(rounds) {
+					t.Fatalf("PushHigh %d PopHigh %d, want %d each", st.PushHigh, st.PopHigh, rounds)
+				}
+			})
+		}
 	}
 }

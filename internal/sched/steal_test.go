@@ -5,7 +5,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
+	"repro/internal/cacheline"
 	"repro/internal/graph"
 )
 
@@ -300,5 +302,16 @@ func TestWorkersStealFromBusyPeer(t *testing.T) {
 	st := c.Stats()
 	if st.Steals == 0 || st.StealBatches == 0 {
 		t.Fatalf("the pile can only drain via steals: %+v", st)
+	}
+}
+
+// TestDequeGap: deques sit in a slice, one per worker, and only the
+// padding keeps one worker's pushes and pops off its neighbour's lines —
+// the cacheline analyzer cannot see it, the writers being the same kind.
+func TestDequeGap(t *testing.T) {
+	var d deque
+	used := unsafe.Offsetof(d.tail) + unsafe.Sizeof(d.tail)
+	if gap := unsafe.Sizeof(d) - used; gap < cacheline.Size {
+		t.Fatalf("%d bytes between one deque's fields and the next's, want >= %d", gap, cacheline.Size)
 	}
 }

@@ -272,15 +272,22 @@ func equivTenantSMPSs(pool *core.Pool, ops []equivOp) ([][]float32, error) {
 	if err != nil {
 		return nil, err
 	}
+	stopWatch := watchStats(ctx)
 	if err := equivSubmitCore(ctx, ops, bufs); err != nil {
 		return nil, err
 	}
 	if err := ctx.Barrier(); err != nil {
 		return nil, err
 	}
+	if err := stopWatch(); err != nil {
+		return nil, err
+	}
 	st := ctx.Stats()
 	if st.TasksExecuted != int64(len(ops)) {
 		return nil, fmt.Errorf("stats isolation: executed %d, submitted program has %d", st.TasksExecuted, len(ops))
+	}
+	if err := statsConserved(st); err != nil {
+		return nil, err
 	}
 	if st.LiveRenamedBytes != 0 {
 		return nil, fmt.Errorf("%d renamed bytes live after drain", st.LiveRenamedBytes)
