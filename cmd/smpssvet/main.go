@@ -3,7 +3,7 @@
 // layout and wiring invariants — mixed atomic/plain field access,
 // cache-line separation of fields with different writers, trace-event
 // wiring, discarded Submit errors, chaos-site installation, and
-// canonical shard lock order.
+// canonical stripe lock order.
 //
 // Usage mirrors smpssbench:
 //

@@ -232,109 +232,6 @@ func AblationScheduler(cfg Config) *Result {
 	return r
 }
 
-// AblationTracker measures the dependency tracker's lock striping on a
-// submission-heavy microbenchmark: many chains of deliberately tiny inout
-// tasks, so tracker entry and ready-queue traffic dominate over compute.
-//
-// "global-tracker" runs with a single stripe (one global mutex);
-// "sharded-tracker" with the default stripe count.  Everything else —
-// scheduler, parking, Batch submission — is the shipped runtime on both
-// arms.  Both sweep the worker count; the notes record a shard-count
-// sweep at the maximum worker count.
-func AblationTracker(cfg Config) *Result {
-	cfg = cfg.Normalize()
-	start := time.Now()
-	objects, chain, block := 256, 128, 64
-	if cfg.Quick {
-		objects, chain = 64, 16
-	}
-	total := objects * chain
-	r := &Result{
-		ID:     "ablation-tracker",
-		Title:  fmt.Sprintf("Sharded tracker vs global lock, %d×%d-task chains (ktasks/s)", objects, chain),
-		XLabel: "threads",
-		YLabel: "ktasks/s",
-	}
-
-	// Three-parameter tasks (axpy-like: two read inputs, one inout
-	// accumulator), so one tracker entry covers three accesses.
-	churn := core.NewTaskDef("churn_t", func(a *core.Args) {
-		x, y, acc := a.F32(0), a.F32(1), a.F32(2)
-		for i := range acc {
-			acc[i] = acc[i]*1.0001 + x[i] + y[i]
-		}
-	})
-	// run returns throughput in thousands of tasks per second with the
-	// given tracker stripe count (0 selects the default).
-	run := func(threads, shards int) float64 {
-		// Per-chain inputs: sharing read inputs across chains would make
-		// every task append to a few giant reader lists whose pruning
-		// cost depends on execution order, drowning the structural
-		// difference under an artifact of the workload.
-		accs := make([][]float32, objects)
-		xs := make([][]float32, objects)
-		ys := make([][]float32, objects)
-		for i := range accs {
-			accs[i] = make([]float32, block)
-			xs[i] = make([]float32, block)
-			ys[i] = make([]float32, block)
-		}
-		// Best of three: tiny-task timings on a loaded machine are
-		// dominated by preemption noise, and the least-disturbed run is
-		// the one that reflects the runtime's structural cost.
-		best := 0.0
-		for rep := 0; rep < 3; rep++ {
-			var secs float64
-			withProcs(threads, func() {
-				rt := core.New(core.Config{Workers: threads, TrackerShards: shards})
-				secs = timeIt(func() {
-					batch := rt.NewBatch()
-					for o, b := range accs {
-						for k := 0; k < chain; k++ {
-							batch.Add(churn,
-								core.In(xs[o]), core.In(ys[o]), core.InOut(b))
-						}
-						if err := batch.Submit(); err != nil {
-							panic(err)
-						}
-					}
-					if err := rt.Barrier(); err != nil {
-						panic(err)
-					}
-				})
-				rt.Close()
-			})
-			if tput := float64(total) / secs / 1e3; tput > best {
-				best = tput
-			}
-		}
-		return best
-	}
-
-	global := Series{Name: "global-tracker"}
-	sharded := Series{Name: "sharded-tracker"}
-	for _, t := range ThreadSweep(cfg.MaxThreads) {
-		global.add(float64(t), run(t, 1))
-		sharded.add(float64(t), run(t, 0))
-	}
-	r.Notes = append(r.Notes,
-		fmt.Sprintf("%d chains × %d tasks of %d-float axpy; global = 1 tracker stripe, sharded = default stripe count; same scheduler, parking and Batch submission on both", objects, chain, block))
-	r.Series = append(r.Series, global, sharded)
-
-	// Shard-count sweep at full thread count.
-	maxShards := 16
-	if cfg.Quick {
-		maxShards = 8
-	}
-	for shards := 1; shards <= maxShards; shards *= 2 {
-		tput := run(cfg.MaxThreads, shards)
-		r.Notes = append(r.Notes,
-			fmt.Sprintf("%2d shard(s) at %d threads: %.1f ktasks/s", shards, cfg.MaxThreads, tput))
-	}
-	r.Elapsed = time.Since(start)
-	return r
-}
-
 // AblationRegions compares the §V.A array-region dependencies against
 // whole-array directionality on Multisort, quantifying why the paper
 // needed regions (or their representant workaround) for flat data.

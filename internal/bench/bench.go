@@ -267,7 +267,6 @@ var Registry = map[string]func(Config) *Result{
 	"ablation-faults":      AblationFaults,
 	"ablation-rename":      AblationRenaming,
 	"ablation-sched":       AblationScheduler,
-	"ablation-tracker":     AblationTracker,
 	"ablation-regions":     AblationRegions,
 	"ablation-throttle":    AblationThrottle,
 	"ablation-elastic":     AblationElastic,

@@ -8,8 +8,7 @@ import "testing"
 //
 // The edge-count assertion is deterministic at any worker count:
 // Deps.TrueEdges counts logical read-after-write dependencies at
-// analysis time under the shard lock, whether or not the producer had
-// already completed (which is the only part that depends on execution
+// analysis time, whether or not the producer had already completed (which is the only part that depends on execution
 // timing).  This test runs with real workers racing the submitter on
 // purpose — the CI race job executes it under GOMAXPROCS=4.
 func TestBatchMatchesSubmit(t *testing.T) {
@@ -85,25 +84,6 @@ func TestBatchRenaming(t *testing.T) {
 	}
 	if x[0] != 100 {
 		t.Fatalf("x[0] = %v, want 100 (synced back after rename)", x[0])
-	}
-}
-
-// TestTrackerShardsConfig runs a workload at both extremes of the shard
-// knob and checks identical results and stats.
-func TestTrackerShardsConfig(t *testing.T) {
-	for _, shards := range []int{1, 16} {
-		rt := New(Config{Workers: 4, TrackerShards: shards})
-		x := make([]float32, 8)
-		rt.Submit(fillDef, Out(x), Value(1.0))
-		for i := 0; i < 10; i++ {
-			rt.Submit(scaleDef, InOut(x), Value(2.0))
-		}
-		if err := rt.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if x[0] != 1024 {
-			t.Fatalf("shards=%d: x[0] = %v, want 1024", shards, x[0])
-		}
 	}
 }
 

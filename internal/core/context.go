@@ -61,9 +61,6 @@ type ContextConfig struct {
 	// tasks before Submit throttles.  Zero selects DefaultGraphLimit;
 	// negative disables throttling.
 	GraphLimit int
-	// TrackerShards sets the dependency tracker's lock-stripe count
-	// (see Config.TrackerShards).
-	TrackerShards int
 	// MemoryLimit bounds the bytes of live renamed storage belonging to
 	// this context; when exceeded, the submitting thread executes tasks
 	// until renamed memory is released (paper §III).  Zero disables the
@@ -138,20 +135,20 @@ type Context struct {
 	// completion wakes its slot only then.  Every exec reads it and the
 	// submitter writes it only around a blocking wait, so it has a line
 	// to itself: with the handles above, a throttled submitter would take
-	// them out of the workers' caches per helped task; with submitted
-	// below, every exec would miss on it.
+	// them out of the workers' caches per helped task; with the
+	// submitter's fields below, every exec would miss on it.
 	waiters atomic.Int64 //smpss:writer=submitter
 
 	_ cacheline.Pad
 
 	// Written by the submitter on every Submit, under the
-	// single-submitter contract.  submitted is atomic for Stats and
-	// Pool.Drain, which read it from other goroutines.
-	submitted atomic.Int64 //smpss:writer=submitter
+	// single-submitter contract.  The count of submitted tasks is the
+	// graph's: g.Added().
+	//
 	// completedSeen is the completion count as of the submitter's last
-	// look at the workers' line (open): submitted - completedSeen bounds
-	// the open tasks from above, so throttle rereads that line only when
-	// the bound reaches the limit.
+	// look at the workers' line (open): Added - completedSeen bounds the
+	// open tasks from above, so throttle rereads that line only when the
+	// bound reaches the limit.
 	completedSeen int64        //smpss:writer=submitter
 	syncCopies    atomic.Int64 //smpss:writer=submitter
 
@@ -168,8 +165,8 @@ type Context struct {
 	// Written by whichever thread executes one of the context's tasks.
 	//
 	// completed counts tasks finished, body run or skipped, record back
-	// on the free list; submitted - completed is the number of open tasks.
-	// It is bumped last, so once it has reached submitted every counter
+	// on the free list; g.Added() - completed is the number of open tasks.
+	// It is bumped last, so once it has reached g.Added() every counter
 	// below holds its final value.
 	completed   atomic.Int64 //smpss:writer=worker
 	executed    atomic.Int64 //smpss:writer=worker
@@ -201,7 +198,7 @@ func (p *Pool) NewContext(cfg ContextConfig) (*Context, error) {
 	if cfg.Recorder != nil {
 		c.g.Attach(cfg.Recorder)
 	}
-	c.tr = deps.NewTrackerShards(c.g, cfg.TrackerShards)
+	c.tr = deps.NewTracker(c.g)
 	c.tr.ShareStorage(p.store)
 	c.tr.DisableRenaming = cfg.DisableRenaming
 	c.tr.AffinityHints = cfg.Locality.Affinity
@@ -317,7 +314,7 @@ func (c *Context) Stats() Stats {
 	// them and folds the gauge into the scheduler view.
 	sc.ChainHits = c.chainHits.Load()
 	return Stats{
-		TasksSubmitted:   c.submitted.Load(),
+		TasksSubmitted:   c.g.Added(),
 		TasksExecuted:    c.executed.Load(),
 		Deps:             d,
 		Sched:            sc,
@@ -337,16 +334,16 @@ func (c *Context) Stats() Stats {
 // drained reports whether every submitted task has completed.
 func (c *Context) drained() bool {
 	// Pool.Drain asks from another goroutine: completed is read first, so
-	// the count cannot include a task the reading of submitted misses.
+	// the count cannot include a task the reading of Added misses.
 	done := c.completed.Load()
-	return done == c.submitted.Load()
+	return done == c.g.Added()
 }
 
 // open returns the number of submitted tasks not yet completed, and
 // remembers the completion count it read.  Submitter only.
 func (c *Context) open() int64 {
 	c.completedSeen = c.completed.Load()
-	return c.submitted.Load() - c.completedSeen
+	return c.g.Added() - c.completedSeen
 }
 
 // liveRenamedBytes returns the memory-limit gauge: bytes of renamed
@@ -411,10 +408,10 @@ func (c *Context) NewBatch() *Batch { return &Batch{c: c} }
 // submitter and never blocks the pool's workers, so it cannot starve
 // the other contexts.
 func (c *Context) throttle() {
-	// submitted - completedSeen never undercounts the open tasks, so
-	// below the limit the workers' line is left alone.
+	// Added - completedSeen never undercounts the open tasks, so below
+	// the limit the workers' line is left alone.
 	if limit := int64(c.cfg.GraphLimit); limit > 0 &&
-		c.submitted.Load()-c.completedSeen >= limit && c.open() >= limit {
+		c.g.Added()-c.completedSeen >= limit && c.open() >= limit {
 		low := limit - limit/4
 		// One closure per episode, not per helped task: it escapes.
 		drained := func() bool { return c.open() < low }
@@ -476,8 +473,6 @@ func (c *Context) freeRec(rec *taskRec) {
 // is the one submission path; every entry point ends here.
 func (c *Context) submitOne(def *TaskDef, args []Arg) {
 	rec := c.newRec(def, len(args))
-	node := &rec.node
-	c.g.Init(node, def.kind, def.Name, def.HighPriority, rec)
 	accs := c.accBuf[:0]
 	ixs := c.ixBuf[:0]
 	for i := range args {
@@ -496,6 +491,11 @@ func (c *Context) submitOne(def *TaskDef, args []Arg) {
 			ixs = append(ixs, i)
 		}
 	}
+	// Only now does the task exist: dataKey panics on an argument without
+	// an address identity, and Added(), which Init bumps, is the count a
+	// Barrier waits for.  A refused Submit costs the record, not a hang.
+	node := &rec.node
+	c.g.Init(node, def.kind, def.Name, def.HighPriority, rec)
 	ress := c.tr.AnalyzeBatch(node, accs, c.resBuf[:0])
 	for j := range ress {
 		res := &ress[j]
@@ -510,7 +510,6 @@ func (c *Context) submitOne(def *TaskDef, args []Arg) {
 	clear(accs)
 	clear(ress)
 	c.accBuf, c.resBuf, c.ixBuf = accs, ress, ixs
-	c.submitted.Add(1)
 	c.tracr.EmitCtx(c.id, c.slot, trace.EvCreate, def.kind, def.Name, node.ID)
 	c.g.Seal(node)
 }

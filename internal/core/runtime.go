@@ -69,11 +69,6 @@ type Config struct {
 	// tasks before Submit throttles.  Zero selects DefaultGraphLimit;
 	// negative disables throttling.
 	GraphLimit int
-	// TrackerShards sets the dependency tracker's lock-stripe count.
-	// Zero selects the default (one stripe per core, rounded up to a
-	// power of two); one degenerates to a single global mutex — the
-	// ablation baseline.
-	TrackerShards int
 	// MemoryLimit bounds the bytes of renamed storage belonging to
 	// tasks that have not completed yet; when exceeded, the submitting
 	// thread executes tasks until renamed memory is released — the
@@ -101,7 +96,6 @@ func (cfg Config) contextConfig() ContextConfig {
 		Locality:        cfg.Locality,
 		DisableRenaming: cfg.DisableRenaming,
 		GraphLimit:      cfg.GraphLimit,
-		TrackerShards:   cfg.TrackerShards,
 		MemoryLimit:     cfg.MemoryLimit,
 		Tracer:          cfg.Tracer,
 		Recorder:        cfg.Recorder,

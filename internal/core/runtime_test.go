@@ -838,3 +838,51 @@ func TestDataKeyPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestRefusedSubmitLeavesNoTask: a Submit that panics on a bad data
+// argument has added nothing, so the count a Barrier waits for is
+// unchanged and Close returns; a task the graph counted but nobody will
+// complete would hang both.
+func TestRefusedSubmitLeavesNoTask(t *testing.T) {
+	submit := map[string]func(rt *Runtime, def *TaskDef, args ...Arg){
+		"Submit": func(rt *Runtime, def *TaskDef, args ...Arg) { rt.Submit(def, args...) },
+		"Batch": func(rt *Runtime, def *TaskDef, args ...Arg) {
+			b := rt.NewBatch()
+			b.Add(def, args...)
+			_ = b.Submit()
+		},
+	}
+	for name, sub := range submit {
+		t.Run(name, func(t *testing.T) {
+			rt := New(Config{Workers: 2, GraphLimit: 4})
+			x := make([]float32, 8)
+			sub(rt, fillDef, Out(x), Value(1.0))
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("an empty slice must be refused")
+					}
+				}()
+				// The good argument first: nothing of it may stick either.
+				sub(rt, axpyDef, In(x), InOut([]float32{}), Value(1.0))
+			}()
+			if got := rt.Stats().TasksSubmitted; got != 1 {
+				t.Fatalf("TasksSubmitted = %d after a refused Submit, want 1", got)
+			}
+			sub(rt, fillDef, Out(x), Value(2.0))
+			closed := make(chan error, 1)
+			go func() { closed <- rt.Close() }()
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Close hangs after a refused Submit")
+			}
+			if s := rt.Stats(); s.TasksSubmitted != 2 || x[0] != 2 {
+				t.Fatalf("submitted %d, x[0] = %v; want 2, 2", s.TasksSubmitted, x[0])
+			}
+		})
+	}
+}

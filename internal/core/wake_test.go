@@ -134,7 +134,7 @@ func TestGraphLimitNoLostWake(t *testing.T) {
 		arg := InOut(x)
 		rounds := wakeRounds(func(int) {
 			rt.Submit(inc, arg)
-			if open := rt.ctx.submitted.Load() - rt.ctx.completedSeen; open > 2 {
+			if open := rt.ctx.g.Added() - rt.ctx.completedSeen; open > 2 {
 				t.Errorf("%d tasks open past a graph limit of 2", open)
 			}
 		})

@@ -12,17 +12,33 @@ package dataid
 import (
 	"fmt"
 	"reflect"
+	"unsafe"
 )
 
 // Key returns the dependency-analysis identity of a data argument: the
 // base address of the slice's backing array, or the pointer value.  This
 // mirrors the 2008 runtime, which keys its analysis on parameter memory
-// addresses.
+// addresses.  Every Submit asks for each of its data arguments, so the
+// common slice element types bypass reflection.
 func Key(data any) uintptr {
+	switch d := data.(type) {
+	case []float32:
+		return sliceKey(d)
+	case []float64:
+		return sliceKey(d)
+	case []int64:
+		return sliceKey(d)
+	case []int32:
+		return sliceKey(d)
+	case []int:
+		return sliceKey(d)
+	case []byte:
+		return sliceKey(d)
+	}
 	switch v := reflect.ValueOf(data); v.Kind() {
 	case reflect.Slice:
 		if v.Len() == 0 {
-			panic("dataid: cannot track an empty slice (no address identity)")
+			panic(emptySlice)
 		}
 		return v.Pointer()
 	case reflect.Ptr:
@@ -33,6 +49,15 @@ func Key(data any) uintptr {
 	default:
 		panic(fmt.Sprintf("dataid: data argument must be a slice or pointer, got %T", data))
 	}
+}
+
+const emptySlice = "dataid: cannot track an empty slice (no address identity)"
+
+func sliceKey[T any](s []T) uintptr {
+	if len(s) == 0 {
+		panic(emptySlice)
+	}
+	return uintptr(unsafe.Pointer(unsafe.SliceData(s)))
 }
 
 // AllocLike returns an allocator producing fresh storage with the same

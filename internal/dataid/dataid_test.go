@@ -1,6 +1,7 @@
 package dataid
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -22,13 +23,24 @@ func TestKeyIdentity(t *testing.T) {
 	if Key(p) != Key(p) {
 		t.Fatal("pointer key unstable")
 	}
+	// The typed fast path and the reflective fallback name one address.
+	for _, data := range []any{
+		make([]float32, 2), make([]float64, 2), make([]int64, 2),
+		make([]int32, 2), make([]int, 2), make([]byte, 2), make([]uint16, 2),
+	} {
+		if got, want := Key(data), reflect.ValueOf(data).Pointer(); got != want {
+			t.Fatalf("Key(%T) = %#x, the backing array is at %#x", data, got, want)
+		}
+	}
 }
 
 func TestKeyPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"empty slice": func() { Key([]float32{}) },
-		"nil pointer": func() { Key((*int)(nil)) },
-		"non-data":    func() { Key(42) },
+		"empty slice":                         func() { Key([]float32{}) },
+		"nil slice":                           func() { Key([]int64(nil)) },
+		"empty slice of another element type": func() { Key([]uint16{}) },
+		"nil pointer":                         func() { Key((*int)(nil)) },
+		"non-data":                            func() { Key(42) },
 	} {
 		func() {
 			defer func() {

@@ -59,8 +59,8 @@ const (
 // the live accesses wherever in the object they fall.  The sweep also
 // re-derives the bucket width from the survivors.
 //
-// All of it is guarded by the object's shard lock and runs on the thread
-// that may recycle task records (see graph.Ref).
+// All of it belongs to the tracker's owner, the thread that may recycle
+// task records (see graph.Ref).
 type regionHistory struct {
 	dims  int  // dimensionality of the grid; 0 until the first bounded access
 	shift uint // log2 of the bucket width

@@ -14,7 +14,7 @@ import (
 // historyOf returns the region history of the object behind buf.
 func (h *harness) historyOf(buf []float32) *regionHistory {
 	key := keyOf(buf)
-	return h.tr.shardOf(key).objects[key].hist
+	return h.tr.objects[key].hist
 }
 
 // TestPendingWritersManyBuckets: a writer filed under several bucket keys
@@ -111,7 +111,7 @@ func TestRegionHistoryFollowsLiveWindow(t *testing.T) {
 		tr.AnalyzeBatch(n, acc[:], out)
 		g.Seal(n)
 		if hist == nil {
-			hist = tr.shardOf(acc[0].Key).objects[acc[0].Key].hist
+			hist = tr.objects[acc[0].Key].hist
 		}
 		peak = max(peak, hist.slots)
 	}
@@ -226,7 +226,7 @@ func runRegionProgram(t *testing.T, data []byte) {
 	g := graph.New(func(n *graph.Node, _ int) { ready = append(ready, n) })
 	rec := &graph.Recorder{}
 	g.Attach(rec)
-	tr := NewTrackerShards(g, 1+int(p.next()%4))
+	tr := NewTracker(g)
 
 	objs := [2][]float32{make([]float32, 1), make([]float32, 1)}
 	var oracle [2][]fuzzAccess
@@ -392,7 +392,7 @@ func runRegionProgram(t *testing.T, data []byte) {
 
 func FuzzRegionHistory(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 2, 3, 0, 1, 2, 3, 0, 7, 0, 2, 0, 5, 0})
+	f.Add([]byte{0, 2, 3, 0, 1, 2, 3, 0, 7, 0, 2, 0, 5, 0})
 	// Long enough for the history to sweep and re-derive its width, at
 	// several mixes of submitting and completing.
 	for seed := int64(1); seed <= 4; seed++ {

@@ -229,44 +229,19 @@ func TestRegionFlipForfeitsRenamedStorage(t *testing.T) {
 	}
 }
 
-// TestPoolInvariantsConcurrent drives 8 concurrent submitters (each on
-// its own objects, through the shared sharded tracker) against a
-// completer, then checks the pool's global invariants: every acquire is
-// a hit or a miss, and after draining plus SyncAll no renamed byte is
-// live.  Run with -race to validate the lock-free refcount traffic.
+// TestPoolInvariantsConcurrent analyses every mode over a few objects
+// against concurrent completers, then checks the pool's global
+// invariants: every acquire is a hit or a miss, and after draining plus
+// SyncAll no renamed byte is live.  Run with -race to validate the
+// lock-free refcount traffic.
 func TestPoolInvariantsConcurrent(t *testing.T) {
-	const submitters = 8
-	const perSubmitter = 300
-	ready := make(chan *graph.Node, submitters*perSubmitter)
-	g := graph.New(func(n *graph.Node, by int) { ready <- n })
-	tr := NewTracker(g)
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < submitters*perSubmitter; i++ {
-			g.Complete(<-ready, 0)
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for s := 0; s < submitters; s++ {
-		wg.Add(1)
-		go func(seed int) {
-			defer wg.Done()
-			bufs := make([][]float32, 4)
-			for i := range bufs {
-				bufs[i] = make([]float32, 32)
-			}
-			for i := 0; i < perSubmitter; i++ {
-				n := g.AddNode(0, "t", false, nil)
-				tr.Analyze(n, f32Access(bufs[i%len(bufs)], Mode((seed+i)%3)))
-				g.Seal(n)
-			}
-		}(s)
+	bufs := make([][]float32, 4)
+	for i := range bufs {
+		bufs[i] = make([]float32, 32)
 	}
-	wg.Wait()
-	<-done
+	tr := analyzeAgainstCompleters(t, 2400, 4, func(i int) []Access {
+		return []Access{f32Access(bufs[i%len(bufs)], Mode((i/len(bufs)+i)%3))}
+	})
 
 	tr.SyncAll()
 	st := tr.Stats()
@@ -280,6 +255,74 @@ func TestPoolInvariantsConcurrent(t *testing.T) {
 	if ps.Hits+ps.Misses != ps.Releases+ps.Drops {
 		t.Fatalf("acquires %d != releases %d after full drain",
 			ps.Hits+ps.Misses, ps.Releases+ps.Drops)
+	}
+}
+
+// TestVersionDiesExactlyOnce: a version owning pooled storage is held by
+// its producer, by readers and by renamed-inout successors, and is the
+// object's current version.  All of them but one let go at once, each
+// on its own goroutine, racing the owner's retire: the version must
+// still be alive.  The last one kills it: the storage goes back to the
+// pool once, and the version to the free list once.  Which holder is
+// last rotates through all four kinds.
+func TestVersionDiesExactlyOnce(t *testing.T) {
+	const rounds, readers, sources = 400, 5, 2
+	tr := NewTracker(graph.New(func(*graph.Node, int) {}))
+	acc := f32Access(make([]float32, 16), ModeOut)
+	producer := &graph.Node{}
+	for round := 1; round <= rounds; round++ {
+		inst, bytes := tr.pool.acquire(&acc)
+		v := tr.newVersion(producer, inst)
+		v.owned, v.bytes = true, bytes
+		// The producer's hold is the node's; here it is let go by hand.
+		releases := []func(){
+			func() { v.release(oneRef) }, // what object.setCurrent does to a replaced version
+			func() { (*producerHold)(v).ReleaseHold(producer) },
+		}
+		for i := 0; i < readers; i++ {
+			v.counts.Add(oneReader)
+			releases = append(releases, func() { (*readerHold)(v).ReleaseHold(nil) })
+		}
+		for i := 0; i < sources; i++ {
+			v.counts.Add(oneRef)
+			releases = append(releases, func() { (*sourceHold)(v).ReleaseHold(nil) })
+		}
+		lastIdx := []int{0, 1, 2, 2 + readers}[round%4]
+		last := releases[lastIdx]
+		releases = append(releases[:lastIdx], releases[lastIdx+1:]...)
+
+		var start, done sync.WaitGroup
+		start.Add(1)
+		for _, release := range releases[1:] {
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				start.Wait()
+				release()
+			}()
+		}
+		start.Done()
+		releases[0]() // the owner's retire, unless it is the one held back
+		done.Wait()
+
+		if ps := tr.PoolStats(); ps.Releases+ps.Drops != int64(round-1) || ps.LiveBytes != bytes {
+			t.Fatalf("round %d: version died with a reference left: %+v", round, ps)
+		}
+		if refs := v.counts.Load(); refs != oneRef && refs != oneReader {
+			t.Fatalf("round %d: counts = %#x with one holder left", round, refs)
+		}
+		last()
+		if ps := tr.PoolStats(); ps.Releases+ps.Drops != int64(round) || ps.LiveBytes != 0 {
+			t.Fatalf("round %d: after the last release: %+v, want %d instances back and no live byte", round, ps, round)
+		}
+		if v.instance != nil || v.counts.Load() != 0 {
+			t.Fatalf("round %d: dead version still holds %v, counts %#x", round, v.instance, v.counts.Load())
+		}
+	}
+	// Each death put the version on the free list once, and each round
+	// took it from there again.
+	if n := len(tr.versions.ready) + len(tr.versions.freed); n != 1 {
+		t.Fatalf("free list holds %d versions after %d rounds of one", n, rounds)
 	}
 }
 

@@ -367,8 +367,7 @@ const maxFreeRecords = 1 << 15
 //
 // Records are freed by workers and reused by the submitter, so the list
 // has two sides, a line of padding apart.  Put pushes onto a mutex-guarded
-// stack.  Get belongs to one thread at a time (its callers serialize: the
-// single submitter, or whoever holds the tracker shard's lock) and pops a
+// stack.  Get belongs to one thread, the single submitter, and pops a
 // private batch, taking the lock only to swap an exhausted batch for
 // everything freed meanwhile.  The trailing padding keeps the Put side
 // off whatever the enclosing struct, or the heap, puts next.  The zero

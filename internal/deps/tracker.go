@@ -1,10 +1,7 @@
 package deps
 
 import (
-	"math/bits"
-	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/cacheline"
@@ -92,18 +89,18 @@ type Resolution struct {
 // version is one single-assignment instance of an object.  Versions form
 // a chain: each write (out/inout) opens a new one.
 //
-// Each version is reference-counted: refs holds one count while the
-// version is the object's current version, one while its producer is
-// pending, one per live reader and one per renamed-inout successor that
-// still has to copy from it.  The tasks' references are holds on their
-// graph nodes (graph.Holder), counted down the moment each task
-// finishes; when a *retired* (superseded, synced or forgotten) version
-// drains to zero it dies: pooled storage it owns returns to the
-// tracker's recycling pool and the version itself to its shard's free
-// list.
+// Each version is reference-counted: it holds one reference while it is
+// the object's current version, one while its producer is pending, one
+// per live reader and one per renamed-inout successor that still has to
+// copy from it.  The tasks' references are holds on their graph nodes
+// (graph.Holder), counted down the moment each task finishes.  A current
+// version holds a reference to itself, so a count that reaches zero
+// belongs to a retired (superseded, synced or forgotten) version, which
+// dies: pooled storage it owns returns to the tracker's recycling pool
+// and the version itself to the tracker's free list.
 type version struct {
-	// sh is the shard of the version's object, which recycles it.
-	sh *shard
+	// t is the tracker of the version's object, which recycles it.
+	t *Tracker
 	// producer is the task writing this version, while that task is
 	// pending: its completion records executedBy and poisoned below and
 	// then clears producer, so the tracker never keeps a pointer to a
@@ -116,7 +113,7 @@ type version struct {
 	poisoned   bool  // the producer completed poisoned: readers run on garbage
 	// readers are tasks reading this version.  The list is needed only
 	// to materialize WAR edges (DisableRenaming) and to seed a region
-	// flip; hazard detection uses nreaders.
+	// flip; hazard detection uses the reader count.
 	readers []graph.Ref
 	// instance is the effective storage of this version.
 	instance any
@@ -127,15 +124,19 @@ type version struct {
 	owned bool
 	bytes int64
 
-	// refs counts the holds keeping the instance alive (see above).
-	refs atomic.Int32
-	// nreaders counts live readers only — the O(1) hazard probe that
-	// replaces the seed's lazy Done() scan over the reader list.
-	nreaders atomic.Int32
-	// retired marks the version no longer current: it dies once refs
-	// drains to zero.
-	retired atomic.Bool
+	// counts holds both counts in one word, so a reader comes and goes in
+	// one operation each: the references keeping the instance alive (see
+	// above) in the low half, and in the high half the live readers among
+	// them — the O(1) hazard probe that replaces the seed's lazy Done()
+	// scan over the reader list.
+	counts atomic.Int64
 }
+
+// What one holder adds to version.counts.
+const (
+	oneRef    = 1
+	oneReader = 1<<32 | oneRef
+)
 
 // The holds a task keeps on a version until it completes.  Each kind is
 // a view of the version with its own graph.Holder method, so a hold
@@ -149,23 +150,22 @@ type (
 	producerHold version
 )
 
-// newVersion returns a version, recycled when the shard's free list has
-// one, holding the current-version reference.  With a producer it is
-// that task's pending write: the producer holds a second reference.
-// Callers hold the shard lock.
-func (sh *shard) newVersion(producer *graph.Node, instance any) *version {
-	v := sh.versions.Get()
+// newVersion returns a version, recycled when the free list has one,
+// holding the current-version reference.  With a producer it is that
+// task's pending write: the producer holds a second reference.
+func (t *Tracker) newVersion(producer *graph.Node, instance any) *version {
+	v := t.versions.Get()
 	if v == nil {
-		v = &version{sh: sh}
+		v = &version{t: t}
 	}
 	v.instance = instance
 	if producer == nil {
-		v.refs.Store(1)
+		v.counts.Store(oneRef)
 		return v
 	}
 	v.written = true
 	v.producer.Store(producer)
-	v.refs.Store(2)
+	v.counts.Store(2 * oneRef)
 	producer.AddHold((*producerHold)(v))
 	return v
 }
@@ -181,6 +181,9 @@ func (v *version) pendingProducer() *graph.Node {
 
 func (v *version) producerPending() bool { return v.pendingProducer() != nil }
 
+// liveReaders reports whether a task reading the version is still open.
+func (v *version) liveReaders() bool { return v.counts.Load()>>32 != 0 }
+
 func (v *version) pruneReaders() {
 	live := v.readers[:0]
 	for _, r := range v.readers {
@@ -192,16 +195,12 @@ func (v *version) pruneReaders() {
 	v.readers = live
 }
 
-// The ReleaseHold methods run without the shard lock, on the goroutine
-// of the worker completing the task that held the reference.
+// The ReleaseHold methods run on the goroutine of the worker completing
+// the task that held the reference.
 
-func (h *sourceHold) ReleaseHold(*graph.Node) { (*version)(h).release() }
+func (h *sourceHold) ReleaseHold(*graph.Node) { (*version)(h).release(oneRef) }
 
-func (h *readerHold) ReleaseHold(*graph.Node) {
-	v := (*version)(h)
-	v.nreaders.Add(-1)
-	v.release()
-}
+func (h *readerHold) ReleaseHold(*graph.Node) { (*version)(h).release(oneReader) }
 
 // ReleaseHold records what later analyses need of the completed writer
 // n, then clears the pointer to it: an analysis that still loads the
@@ -211,42 +210,32 @@ func (h *producerHold) ReleaseHold(n *graph.Node) {
 	v.executedBy = int32(n.ExecutedBy())
 	v.poisoned = n.Poisoned()
 	v.producer.Store(nil)
-	v.release()
+	v.release(oneRef)
 }
 
-// release drops one task's reference; the last reference of a retired
-// version kills it.
-func (v *version) release() {
-	if v.refs.Add(-1) == 0 && v.retired.Load() {
+// release drops what one holder added to counts; the last reference
+// kills the version.
+func (v *version) release(held int64) {
+	switch refs := int32(v.counts.Add(-held)); {
+	case refs == 0:
 		v.die()
+	case refs < 0:
+		panic("deps: version released more often than held")
 	}
 }
 
-// retire marks the version no longer current and drops the
-// current-version reference.  Each version is retired exactly once —
-// when superseded by a write, synced back, or forgotten.
-func (v *version) retire() {
-	if v.retired.Swap(true) {
-		panic("deps: version retired twice")
-	}
-	if v.refs.Add(-1) == 0 {
-		v.die()
-	}
-}
-
-// die runs exactly once per retired version, on whichever thread drops
-// its last reference — the current-version reference is dropped after
-// retired is set, so refs cannot read zero earlier.  Nothing can reach
-// the version any more: owned storage returns to the pool and the
-// version, emptied so it pins no data, to the free list.
+// die runs exactly once per version, on whichever thread drops its last
+// reference — which only a retired version has.  Nothing can reach the
+// version any more: owned storage returns to the pool and the version,
+// emptied so it pins no data, to the free list.
 func (v *version) die() {
-	sh := v.sh
+	t := v.t
 	if v.owned {
-		sh.pool.release(v.instance, v.bytes)
+		t.pool.release(v.instance, v.bytes)
 	}
 	clear(v.readers)
-	*v = version{sh: sh, readers: v.readers[:0]}
-	sh.versions.Put(v)
+	*v = version{t: t, readers: v.readers[:0]}
+	t.versions.Put(v)
 }
 
 // object is the tracker's record for one base address.
@@ -275,6 +264,19 @@ type object struct {
 	diverged bool
 }
 
+// setCurrent makes nv the object's current version (nil when the object
+// is forgotten) and retires the one it replaces: a write superseded it, a
+// sync copied it back, or Forget dropped the object.  Retiring drops the
+// reference a version holds while current.  This is the only place that
+// does, so a version is retired once: a second time would take a
+// holder's reference and recycle the instance under a live reader, which
+// no count can tell from an ordinary release.
+func (obj *object) setCurrent(nv *version) {
+	old := obj.cur
+	obj.cur = nv
+	old.release(oneRef)
+}
+
 // Stats aggregates tracker activity for reporting and tests.
 type Stats struct {
 	// Objects is the number of distinct base addresses ever tracked.
@@ -291,8 +293,8 @@ type Stats struct {
 	// content copy at task start).
 	RenameCopies int64
 	// PoolHits and PoolMisses count renames served from recycled
-	// storage vs. fresh Alloc() calls.  They live in the pool, not the
-	// shards; Tracker.Stats fills them into the summed snapshot.
+	// storage vs. fresh Alloc() calls.  They live in the pool;
+	// Tracker.Stats fills them into the snapshot.
 	PoolHits, PoolMisses int64
 	// TrueEdges counts read-after-write dependencies discovered at
 	// analysis time.  For version-tracked objects a dependency whose
@@ -310,56 +312,47 @@ type Stats struct {
 	RegionObjects int64
 }
 
-// add accumulates o into s; keep it next to the struct so new counters
-// cannot be forgotten by the per-shard aggregation.
-func (s *Stats) add(o Stats) {
-	s.Objects += o.Objects
-	s.Renames += o.Renames
-	s.RenamesElided += o.RenamesElided
-	s.RenameCopies += o.RenameCopies
-	s.PoolHits += o.PoolHits
-	s.PoolMisses += o.PoolMisses
-	s.TrueEdges += o.TrueEdges
-	s.FalseEdges += o.FalseEdges
-	s.RegionObjects += o.RegionObjects
+// counted lists the counters analysis moves (PoolHits and PoolMisses are
+// the pool's), in the order of counters.  It is the one list besides the
+// struct: publishing, the snapshot and the tests' monotonicity check loop
+// over it, so a new counter cannot be forgotten.
+func (s *Stats) counted() [nCounted]*int64 {
+	return [...]*int64{&s.Objects, &s.Renames, &s.RenamesElided, &s.RenameCopies,
+		&s.TrueEdges, &s.FalseEdges, &s.RegionObjects}
 }
 
-// shard is one lock stripe of the tracker: a mutex, the objects hashed
-// onto the stripe, and the stripe's share of the counters — all touched
-// only under mu, which only analysing (submitting) threads and snapshot
-// readers take.  A completing worker reaches a shard through a dying
-// version only: the Put side of versions and the pool pointer, both a
-// line away from what the submitter writes and from the next shard.
-type shard struct {
-	mu      sync.Mutex          //smpss:writer=submitter
-	objects map[uintptr]*object //smpss:writer=submitter
-	stats   Stats               //smpss:writer=submitter
-	// versions recycles the dead versions of the stripe's objects: Get
-	// under mu, Put from whichever thread drops a last reference.
-	versions FreeList[version]
-	pool     *Pool //smpss:writer=worker
-	_        cacheline.Pad
-}
+const nCounted = 7
 
-// MaxShards caps the shard count so the batched-analysis lock set fits in
-// one machine word (the canonical-order lock pass walks a uint64 bitmask).
-const MaxShards = 64
+// counters is Stats as the analysing thread publishes it: one atomic per
+// counter, so that any goroutine may take a snapshot.
+type counters [nCounted]atomic.Int64
+
+// add publishes what one AnalyzeBatch call counted in d: a task pays for
+// the counters it moved, once each, not for every event.
+func (c *counters) add(d *Stats) {
+	for i, n := range d.counted() {
+		if *n != 0 {
+			c[i].Add(*n)
+		}
+	}
+}
 
 // Tracker performs dependency analysis for a single runtime instance.
 //
-// The object table is split into power-of-two lock-striped shards keyed
-// by a hash of the data identity (the base address), so concurrent
-// submitters touching disjoint data proceed without serializing on a
-// single global mutex.  Single accesses lock exactly one shard;
-// AnalyzeBatch locks every shard the batch touches in canonical
-// (ascending-index) order, which keeps concurrent cross-shard
-// submissions deadlock-free.
+// It has one owner, the thread that submits the instance's tasks
+// (core.Context's single-submitter contract): AnalyzeBatch, WriterPending,
+// PendingWriters, CurrentInstance, SyncObject, SyncAll and Forget are that
+// thread's alone and take no lock.  Other goroutines reach the tracker
+// two ways: a completing worker through the versions its task held
+// (their counts, the Put side of the free list, the pool), and anyone
+// through the snapshot calls Stats, PoolStats and LiveRenamedBytes, which
+// read atomics.
 type Tracker struct {
-	g *graph.Graph
+	g *graph.Graph //smpss:writer=shared
 
 	// DisableRenaming turns the renaming engine off: hazards become real
 	// WAR/WAW edges.  Used by the ablation benchmarks.
-	DisableRenaming bool
+	DisableRenaming bool //smpss:writer=shared
 
 	// AffinityHints makes analysis record on each task node the worker
 	// that produced the version it accesses, when that producer has
@@ -368,66 +361,36 @@ type Tracker struct {
 	// still holds its operands (core.Config.Locality).  A still-pending
 	// producer needs no hint — its completion routes the successor
 	// through the releasing worker.
-	AffinityHints bool
+	AffinityHints bool //smpss:writer=shared
 
-	pool   Pool
-	shards []shard
-	shift  uint // 64 - log2(len(shards)), for Fibonacci hashing
+	_ cacheline.Pad
+
+	objects map[uintptr]*object //smpss:writer=submitter
+	stats   counters            //smpss:writer=submitter
+	// versions recycles dead versions: Get is the owner's, Put comes from
+	// whichever thread drops a last reference.  Its Get side closes the
+	// owner's group, its Put side opens the workers'.
+	versions FreeList[version]
+
+	pool Pool //smpss:writer=worker
+
+	_ cacheline.Pad
 }
 
-// NewTracker creates a tracker that adds edges to g, with the default
-// shard count (enough stripes to cover the machine's parallelism).
-func NewTracker(g *graph.Graph) *Tracker { return NewTrackerShards(g, 0) }
-
-// NewTrackerShards creates a tracker with an explicit shard count,
-// rounded up to a power of two and clamped to [1, MaxShards].  n <= 0
-// selects the default; n == 1 degenerates to the single global mutex the
-// ablation benchmarks use as their baseline.
-func NewTrackerShards(g *graph.Graph, n int) *Tracker {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > MaxShards {
-		n = MaxShards
-	}
-	n = 1 << bits.Len(uint(n-1)) // next power of two
-	t := &Tracker{g: g, shards: make([]shard, n), shift: uint(64 - bits.Len(uint(n-1)))}
-	for i := range t.shards {
-		t.shards[i].objects = make(map[uintptr]*object)
-		t.shards[i].pool = &t.pool
-	}
-	return t
+// NewTracker creates a tracker that adds edges to g.
+func NewTracker(g *graph.Graph) *Tracker {
+	return &Tracker{g: g, objects: make(map[uintptr]*object)}
 }
 
-// Shards returns the number of lock stripes.
-func (t *Tracker) Shards() int { return len(t.shards) }
-
-// shardIndex maps a data identity onto its stripe index.  Keys are base
-// addresses whose low bits carry no entropy (allocator alignment), so
-// Fibonacci hashing spreads them through the stripes via the
-// multiplier's high bits.
-func (t *Tracker) shardIndex(key uintptr) int {
-	return int(uint64(key) * 0x9E3779B97F4A7C15 >> t.shift)
-}
-
-func (t *Tracker) shardOf(key uintptr) *shard {
-	return &t.shards[t.shardIndex(key)]
-}
-
-// Stats returns a snapshot of the tracker's counters, summed across
-// shards and merged with the pool's hit/miss counters.
+// Stats returns a snapshot of the tracker's counters, merged with the
+// pool's hit/miss counters.  Any goroutine may call it; each counter is
+// monotone from one snapshot to the next.
 func (t *Tracker) Stats() Stats {
-	var total Stats
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		s := sh.stats
-		sh.mu.Unlock()
-		total.add(s)
+	s := Stats{PoolHits: t.pool.hits.Load(), PoolMisses: t.pool.misses.Load()}
+	for i, n := range s.counted() {
+		*n = t.stats[i].Load()
 	}
-	ps := t.pool.Stats()
-	total.PoolHits, total.PoolMisses = ps.Hits, ps.Misses
-	return total
+	return s
 }
 
 // PoolStats returns a snapshot of the recycling pool's counters.
@@ -449,12 +412,14 @@ func (t *Tracker) LiveRenamedBytes() int64 { return t.pool.LiveBytes() }
 // memory-limit waiter's wakeup.  Must be called before any access.
 func (t *Tracker) SetReclaimHook(f func()) { t.pool.SetReclaimHook(f) }
 
-func (sh *shard) lookup(a *Access) *object {
-	obj := sh.objects[a.Key]
+// lookup returns the record of the object a touches, registering it on
+// its first access.
+func (t *Tracker) lookup(d *Stats, a *Access) *object {
+	obj := t.objects[a.Key]
 	if obj == nil {
-		obj = &object{key: a.Key, cur: sh.newVersion(nil, a.Data), original: a.Data}
-		sh.objects[a.Key] = obj
-		sh.stats.Objects++
+		obj = &object{key: a.Key, cur: t.newVersion(nil, a.Data), original: a.Data}
+		t.objects[a.Key] = obj
+		d.Objects++
 	}
 	if obj.copier == nil && a.Copy != nil {
 		obj.copier = a.Copy
@@ -470,48 +435,34 @@ func (t *Tracker) Analyze(node *graph.Node, a Access) Resolution {
 	return t.AnalyzeBatch(node, []Access{a}, out[:0])[0]
 }
 
-// AnalyzeBatch resolves every access of one task in submission order,
-// entering the tracker once: all shards the accesses hash onto are locked
-// up front in ascending index order (the canonical order that makes
-// concurrent cross-shard batches deadlock-free), the accesses analyzed,
-// and the shards released.  Results are appended to out and returned;
-// callers reuse out across batches to avoid per-task allocation.  The
-// version references the task acquires become holds on node, which
-// cannot complete before the Seal the caller issues afterwards.
+// AnalyzeBatch resolves every access of one task in submission order.
+// Results are appended to out and returned; callers reuse out across
+// batches to avoid per-task allocation.  The version references the task
+// acquires become holds on node, which cannot complete before the Seal
+// the caller issues afterwards.  What the accesses count is gathered in
+// a local Stats and published once at the end.
 func (t *Tracker) AnalyzeBatch(node *graph.Node, accs []Access, out []Resolution) []Resolution {
-	if len(accs) == 0 {
-		return out
-	}
-	// Collect the shard set as a bitmask (len(shards) <= MaxShards = 64).
-	var mask uint64
+	var d Stats
 	for i := range accs {
-		mask |= 1 << uint(t.shardIndex(accs[i].Key))
+		out = append(out, t.analyze(&d, node, &accs[i]))
 	}
-	for m := mask; m != 0; m &= m - 1 {
-		t.shards[bits.TrailingZeros64(m)].mu.Lock()
-	}
-	for i := range accs {
-		out = append(out, t.analyzeLocked(t.shardOf(accs[i].Key), node, &accs[i]))
-	}
-	for m := mask; m != 0; m &= m - 1 {
-		t.shards[bits.TrailingZeros64(m)].mu.Unlock()
-	}
+	t.stats.add(&d)
 	return out
 }
 
-// analyzeLocked dispatches one access; the caller holds sh.mu.
-func (t *Tracker) analyzeLocked(sh *shard, node *graph.Node, a *Access) Resolution {
-	obj := sh.lookup(a)
+// analyze dispatches one access.
+func (t *Tracker) analyze(d *Stats, node *graph.Node, a *Access) Resolution {
+	obj := t.lookup(d, a)
 	if obj.hist != nil || !a.Region.IsFull() {
-		return t.analyzeRegion(sh, node, obj, a)
+		return t.analyzeRegion(d, node, obj, a)
 	}
 	switch a.Mode {
 	case ModeIn:
-		return t.analyzeIn(sh, node, obj)
+		return t.analyzeIn(d, node, obj)
 	case ModeOut:
-		return t.analyzeOut(sh, node, obj, a)
+		return t.analyzeOut(d, node, obj, a)
 	case ModeInOut:
-		return t.analyzeInOut(sh, node, obj, a)
+		return t.analyzeInOut(d, node, obj, a)
 	}
 	panic("deps: invalid access mode")
 }
@@ -539,12 +490,12 @@ func (t *Tracker) hintAffinity(node *graph.Node, v *version) {
 // at any worker count.  So does the taint of a poisoned producer travel
 // either way: along the edge, or — once the producer completed — from
 // what its completion recorded in the version (AddEdge covers a
-// producer that completes in between).  Callers hold the shard lock.
-func (t *Tracker) trueDep(sh *shard, node *graph.Node, v *version) {
+// producer that completes in between).
+func (t *Tracker) trueDep(d *Stats, node *graph.Node, v *version) {
 	if !v.written {
 		return
 	}
-	sh.stats.TrueEdges++
+	d.TrueEdges++
 	if p := v.producer.Load(); p != nil {
 		t.g.AddEdge(p, node)
 	} else if v.poisoned {
@@ -552,9 +503,9 @@ func (t *Tracker) trueDep(sh *shard, node *graph.Node, v *version) {
 	}
 }
 
-func (t *Tracker) analyzeIn(sh *shard, node *graph.Node, obj *object) Resolution {
+func (t *Tracker) analyzeIn(d *Stats, node *graph.Node, obj *object) Resolution {
 	v := obj.cur
-	t.trueDep(sh, node, v)
+	t.trueDep(d, node, v)
 	t.hintAffinity(node, v)
 	// The list is read only by falseEdges and flipToRegioned, which prune
 	// it themselves; here completed readers are dropped when the list is
@@ -564,8 +515,7 @@ func (t *Tracker) analyzeIn(sh *shard, node *graph.Node, obj *object) Resolution
 		v.pruneReaders()
 	}
 	v.readers = append(v.readers, node.Ref())
-	v.nreaders.Add(1)
-	v.refs.Add(1)
+	v.counts.Add(oneReader)
 	node.AddHold((*readerHold)(v))
 	return Resolution{Instance: v.instance}
 }
@@ -582,31 +532,30 @@ func (t *Tracker) supersede(obj *object, v, nv *version, renamed bool, bytes int
 		nv.owned, nv.bytes = v.owned, v.bytes
 		v.owned = false
 	}
-	obj.cur = nv
-	v.retire()
+	obj.setCurrent(nv)
 }
 
 // analyzeOut never reads the previous version, so the new one starts
 // clean whatever that version's producer did.
-func (t *Tracker) analyzeOut(sh *shard, node *graph.Node, obj *object, a *Access) Resolution {
+func (t *Tracker) analyzeOut(d *Stats, node *graph.Node, obj *object, a *Access) Resolution {
 	v := obj.cur
-	hazard := v.producerPending() || v.nreaders.Load() > 0
+	hazard := v.producerPending() || v.liveReaders()
 	res := Resolution{Instance: v.instance}
 	var bytes int64
 	renamed := false
 	if hazard {
 		if t.DisableRenaming {
-			t.falseEdges(sh, node, v, true)
+			t.falseEdges(d, node, v, true)
 		} else {
 			res.Instance, bytes = t.pool.acquire(a)
 			res.Renamed, renamed = true, true
-			sh.stats.Renames++
+			d.Renames++
 		}
 	} else if !t.DisableRenaming && v.written {
 		// Dead WAW: the previous version was task-written, but its
 		// producer has completed and every reader drained, so the
 		// overwrite proceeds in place — no rename, no fresh storage.
-		sh.stats.RenamesElided++
+		d.RenamesElided++
 	}
 	if !renamed {
 		// The write lands in the previous version's storage, so the
@@ -616,35 +565,35 @@ func (t *Tracker) analyzeOut(sh *shard, node *graph.Node, obj *object, a *Access
 		// reads the hinted worker's hot data).
 		t.hintAffinity(node, v)
 	}
-	t.supersede(obj, v, sh.newVersion(node, res.Instance), renamed, bytes)
+	t.supersede(obj, v, t.newVersion(node, res.Instance), renamed, bytes)
 	return res
 }
 
 // falseEdges materializes the hazards of a write over v as edges (the
 // DisableRenaming ablation): WAR from every live reader and, when the
 // write does not read v, WAW from a pending producer.
-func (t *Tracker) falseEdges(sh *shard, node *graph.Node, v *version, waw bool) {
+func (t *Tracker) falseEdges(d *Stats, node *graph.Node, v *version, waw bool) {
 	if p := v.pendingProducer(); waw && p != nil {
 		t.g.AddEdge(p, node)
-		sh.stats.FalseEdges++
+		d.FalseEdges++
 	}
 	v.pruneReaders()
 	for _, r := range v.readers {
 		t.g.AddEdge(r.Node(), node)
-		sh.stats.FalseEdges++
+		d.FalseEdges++
 	}
 }
 
-func (t *Tracker) analyzeInOut(sh *shard, node *graph.Node, obj *object, a *Access) Resolution {
+func (t *Tracker) analyzeInOut(d *Stats, node *graph.Node, obj *object, a *Access) Resolution {
 	v := obj.cur
 	res := Resolution{Instance: v.instance}
-	t.trueDep(sh, node, v) // RAW: the task reads the old value
+	t.trueDep(d, node, v) // RAW: the task reads the old value
 	t.hintAffinity(node, v)
 	var bytes int64
 	renamed := false
-	if v.nreaders.Load() > 0 {
+	if v.liveReaders() {
 		if t.DisableRenaming {
-			t.falseEdges(sh, node, v, false)
+			t.falseEdges(d, node, v, false)
 		} else {
 			// Rename: write into acquired storage seeded from the
 			// previous version.  The RAW edge above guarantees the
@@ -655,27 +604,27 @@ func (t *Tracker) analyzeInOut(sh *shard, node *graph.Node, obj *object, a *Acce
 			res.CopyFrom = v.instance
 			res.Copy = a.Copy
 			res.Renamed, renamed = true, true
-			v.refs.Add(1)
+			v.counts.Add(oneRef)
 			node.AddHold((*sourceHold)(v))
-			sh.stats.Renames++
-			sh.stats.RenameCopies++
+			d.Renames++
+			d.RenameCopies++
 		}
 	} else if !t.DisableRenaming && v.written && !v.producerPending() {
 		// Dead WAR/WAW: every reader of the task-written previous
 		// version drained and its producer completed — update in place,
 		// skipping both the rename and the inout seed copy.
-		sh.stats.RenamesElided++
+		d.RenamesElided++
 	}
-	t.supersede(obj, v, sh.newVersion(node, res.Instance), renamed, bytes)
+	t.supersede(obj, v, t.newVersion(node, res.Instance), renamed, bytes)
 	return res
 }
 
 // analyzeRegion handles accesses on region-tracked objects: every
 // overlapping, still-incomplete earlier access where at least one side
 // writes becomes an edge.
-func (t *Tracker) analyzeRegion(sh *shard, node *graph.Node, obj *object, a *Access) Resolution {
+func (t *Tracker) analyzeRegion(d *Stats, node *graph.Node, obj *object, a *Access) Resolution {
 	if obj.hist == nil {
-		t.flipToRegioned(sh, obj)
+		t.flipToRegioned(d, obj)
 	}
 	if a.Region.Empty() {
 		return Resolution{Instance: obj.cur.instance} // touches nothing
@@ -685,9 +634,9 @@ func (t *Tracker) analyzeRegion(sh *shard, node *graph.Node, obj *object, a *Acc
 	obj.hist.scan(&a.Region, writes, func(e *regionEntry) bool {
 		t.g.AddEdge(e.task.Node(), node)
 		if reads && e.writes {
-			sh.stats.TrueEdges++
+			d.TrueEdges++
 		} else {
-			sh.stats.FalseEdges++
+			d.FalseEdges++
 		}
 		return true
 	})
@@ -697,9 +646,9 @@ func (t *Tracker) analyzeRegion(sh *shard, node *graph.Node, obj *object, a *Acc
 
 // flipToRegioned converts a versioned object into region mode, seeding the
 // access history from the current version's pending producer and readers.
-func (t *Tracker) flipToRegioned(sh *shard, obj *object) {
+func (t *Tracker) flipToRegioned(d *Stats, obj *object) {
 	obj.hist = newRegionHistory()
-	sh.stats.RegionObjects++
+	d.RegionObjects++
 	v := obj.cur
 	if p := v.pendingProducer(); p != nil {
 		obj.hist.insert(regionEntry{region: Full, task: p.Ref(), writes: true})
@@ -725,10 +674,7 @@ func (t *Tracker) flipToRegioned(sh *shard, obj *object) {
 // data overlapping region r of the object at key, once per access, until
 // visit returns false.
 func (t *Tracker) pendingWriters(key uintptr, r *Region, visit func(*graph.Node) bool) {
-	sh := t.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	obj := sh.objects[key]
+	obj := t.objects[key]
 	if obj == nil {
 		return
 	}
@@ -742,8 +688,7 @@ func (t *Tracker) pendingWriters(key uintptr, r *Region, visit func(*graph.Node)
 // WriterPending reports whether a still-incomplete task writes data
 // overlapping the given region of the object at key.  The runtime's
 // WaitOn primitive blocks (and helps execute tasks) until none does,
-// after which the main thread may safely read the region.  It must be
-// called from the submitting thread.
+// after which the main thread may safely read the region.
 func (t *Tracker) WriterPending(key uintptr, r Region) bool {
 	found := false
 	t.pendingWriters(key, &r, func(*graph.Node) bool {
@@ -771,10 +716,7 @@ func (t *Tracker) PendingWriters(key uintptr, r Region) []*graph.Node {
 // or nil if the object was never tracked.  The main thread must WaitOn
 // the object first for the contents to be meaningful.
 func (t *Tracker) CurrentInstance(key uintptr) any {
-	sh := t.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	obj := sh.objects[key]
+	obj := t.objects[key]
 	if obj == nil {
 		return nil
 	}
@@ -787,83 +729,42 @@ func (t *Tracker) CurrentInstance(key uintptr) any {
 // called when no task touching the object is pending (after WaitOn or a
 // barrier).  It reports whether a copy was performed.
 func (t *Tracker) SyncObject(key uintptr) bool {
-	sh := t.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	obj := sh.objects[key]
-	if obj == nil {
-		return false
-	}
-	return t.syncLocked(sh, obj)
+	obj := t.objects[key]
+	return obj != nil && t.sync(obj)
 }
 
 // SyncAll applies SyncObject to every tracked object and returns the
 // number of copies performed.  The runtime calls it from Barrier so that,
 // as in SMPSs, renaming stays invisible: after a barrier the program sees
-// all results in the variables it named.
-//
-// It must only be called from the submitting thread with no pending
-// tasks.  The shard locks are held only to collect the diverged objects
-// and reset their version chains; the content copies — the expensive
-// part on large renamed data — run after each stripe's lock is
-// released, so SyncAll never holds a stripe for the duration of a
-// memcpy.  The superseded versions are retired only after their
-// contents have been copied out, so the pool cannot recycle a source
-// instance mid-copy.
+// all results in the variables it named.  It must only be called with no
+// pending tasks.
 func (t *Tracker) SyncAll() int {
-	type syncWork struct {
-		dst, src any
-		copier   func(dst, src any)
-		old      *version
-	}
-	var work []syncWork
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for _, obj := range sh.objects {
-			if !obj.diverged {
-				continue
-			}
-			if obj.cur.producerPending() {
-				sh.mu.Unlock()
-				panic("deps: SyncAll called with a pending writer")
-			}
-			if obj.copier == nil {
-				sh.mu.Unlock()
-				panic("deps: diverged object has no copier")
-			}
-			old := obj.cur
-			work = append(work, syncWork{dst: obj.original, src: old.instance, copier: obj.copier, old: old})
-			obj.cur = sh.newVersion(nil, obj.original)
-			obj.diverged = false
+	copies := 0
+	for _, obj := range t.objects {
+		if t.sync(obj) {
+			copies++
 		}
-		sh.mu.Unlock()
 	}
-	for _, w := range work {
-		w.copier(w.dst, w.src)
-		w.old.retire()
-	}
-	return len(work)
+	return copies
 }
 
-func (t *Tracker) syncLocked(sh *shard, obj *object) bool {
+func (t *Tracker) sync(obj *object) bool {
 	if !obj.diverged {
 		return false
 	}
 	if obj.cur.producerPending() {
-		panic("deps: SyncObject called with a pending writer")
+		panic("deps: sync-back of an object with a pending writer")
 	}
 	if obj.copier == nil {
 		panic("deps: diverged object has no copier")
 	}
 	obj.copier(obj.original, obj.cur.instance)
-	old := obj.cur
-	obj.cur = sh.newVersion(nil, obj.original)
+	// Retired only now that its contents are copied out, so the pool
+	// cannot recycle the instance mid-copy.  Any late readers of it still
+	// hold references; the pool gets the instance back only when the last
+	// of them completes.
+	obj.setCurrent(t.newVersion(nil, obj.original))
 	obj.diverged = false
-	// Any late readers of the superseded renamed instance still hold
-	// references; the pool gets the instance back only when the last of
-	// them completes.
-	old.retire()
 	return true
 }
 
@@ -880,12 +781,8 @@ func (t *Tracker) syncLocked(sh *shard, obj *object) bool {
 // never leaks pool accounting; superseded versions already manage
 // themselves through their reference counts.
 func (t *Tracker) Forget(key uintptr) {
-	sh := t.shardOf(key)
-	sh.mu.Lock()
-	obj := sh.objects[key]
-	delete(sh.objects, key)
-	sh.mu.Unlock()
-	if obj != nil {
-		obj.cur.retire()
+	if obj := t.objects[key]; obj != nil {
+		delete(t.objects, key)
+		obj.setCurrent(nil)
 	}
 }

@@ -464,9 +464,9 @@ func TestReaderListStaysBounded(t *testing.T) {
 		n := g.AddNode(0, "r", false, nil)
 		tr.Analyze(n, acc)
 		g.Seal(n)
-		// Only this thread touches the list; the worker moves nreaders.
-		v := tr.shardOf(acc.Key).objects[acc.Key].cur
-		peak = max(peak, int(v.nreaders.Load()))
+		// Only this thread touches the list; the worker moves the counts.
+		v := tr.objects[acc.Key].cur
+		peak = max(peak, int(v.counts.Load()>>32))
 		if len(v.readers) > 2*peak+8 {
 			t.Fatalf("read %d: reader list holds %d entries with at most %d readers ever live", i, len(v.readers), peak)
 		}

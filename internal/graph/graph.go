@@ -80,17 +80,23 @@ type Node struct {
 	// function pointer).  The graph never inspects it.
 	Payload any
 
-	// pending counts unsatisfied input dependencies.  The extra +1 held
-	// during construction prevents a concurrent completion from firing
-	// the readiness callback before analysis has finished.
+	// pending is the number of edges into the node, once Seal has added
+	// it, less the predecessors that completed.  A completion before Seal
+	// makes it negative, so only the last of these operations, whichever
+	// it is, reads zero: readiness can fire neither twice nor before
+	// analysis has finished.  A life ends with the zero the next begins
+	// with.
 	pending atomic.Int32
-	state   atomic.Int32
-	// poisoned marks the node as tainted by an upstream failure: its
-	// inputs may be garbage, so the executor must skip the task body
-	// (while still completing the node, so edges, observers and memory
-	// bookkeeping drain normally).  Set on the node itself when its body
-	// fails, and propagated to successors by complete.
-	poisoned atomic.Bool
+	// npred counts the edges AddEdge appended.  It belongs to the thread
+	// building the node, which hands it to pending in Seal.
+	npred int32
+	// state holds the NodeState and, in poisonBit, the taint of an
+	// upstream failure: the node's inputs may be garbage, so the executor
+	// must skip the task body (while still completing the node, so edges,
+	// observers and memory bookkeeping drain normally).  The taint is set
+	// on the node itself when its body fails, and on its successors by
+	// complete.  A transition keeps it (see setState).
+	state atomic.Int32
 
 	// executedBy records, biased by +1 so the zero value means "not
 	// executed", the worker identity that completed the task.  It is
@@ -110,10 +116,13 @@ type Node struct {
 	// holds are the references registered with AddHold, released exactly
 	// once by Complete.
 	holds []Holder
-	// npred is the total number of incoming true-dependency edges ever
-	// added (for statistics and DOT export of in-degree).
-	npred atomic.Int32
 }
+
+const (
+	// poisonBit is the taint in Node.state, above every NodeState.
+	poisonBit = 1 << 8
+	stateMask = poisonBit - 1
+)
 
 // Holder is a reference a task keeps on something until it completes:
 // the dependency tracker's holds on data versions.  ReleaseHold drops
@@ -150,13 +159,21 @@ func (r Ref) Node() *Node { return r.n }
 func (r Ref) Done() bool { return r.n.Done() || r.n.ID != r.id }
 
 // State returns the node's current lifecycle state.
-func (n *Node) State() NodeState { return NodeState(n.state.Load()) }
+func (n *Node) State() NodeState { return NodeState(n.state.Load() & stateMask) }
+
+// setState moves the node to s, keeping its taint.  Every transition has
+// the state word to itself: taints race only each other, while the node
+// is Building, and the thread that moves it on does so after the pending
+// count told it that every predecessor, and the builder, is through with
+// the node.
+func (n *Node) setState(s NodeState) { n.state.Store(int32(s) | n.state.Load()&poisonBit) }
 
 // Done reports whether the task has completed.
 func (n *Node) Done() bool { return n.State() == StateDone }
 
-// NumPredecessors returns the number of true-dependency edges into the node.
-func (n *Node) NumPredecessors() int { return int(n.npred.Load()) }
+// NumPredecessors returns the number of true-dependency edges into the
+// node, for the thread that builds it.
+func (n *Node) NumPredecessors() int { return int(n.npred) }
 
 // ExecutedBy returns the worker identity that completed the task, or
 // MainThread if the task has not completed.  Meaningful only after
@@ -176,14 +193,19 @@ func (n *Node) SetAffinity(worker int) {
 func (n *Node) Affinity() int { return int(n.affinity) - 1 }
 
 // MarkPoisoned taints the node: the runtime calls it when the task's
-// body fails (under a poisoning failure policy) or when its tenant is
-// canceled, and Complete then spreads the taint to every successor the
-// completion releases.
-func (n *Node) MarkPoisoned() { n.poisoned.Store(true) }
+// body fails (under a poisoning failure policy), and Complete then
+// spreads the taint to every successor the completion releases.
+//
+// A caller must be ordered before the node's next transition, or
+// setState's load-then-store may lose the taint: the builder's thread
+// while the node is Building, a predecessor before it decrements the
+// node's pending count, or the thread running the node.  Nothing may
+// taint a Ready or queued node from the side.
+func (n *Node) MarkPoisoned() { n.state.Or(poisonBit) }
 
 // Poisoned reports whether the node was tainted by MarkPoisoned or by
 // the completion of a poisoned predecessor.
-func (n *Node) Poisoned() bool { return n.poisoned.Load() }
+func (n *Node) Poisoned() bool { return n.state.Load()&poisonBit != 0 }
 
 // Reserve gives a zero node room for its first successors and holds in
 // storage the caller owns — arrays allocated beside the node — so a task
@@ -198,7 +220,7 @@ func (n *Node) Reserve(succs []*Node, holds []Holder) {
 // Complete calls h.ReleaseHold(n) exactly once, after the node's
 // successors have been released.  The dependency tracker uses holds to
 // count down version reference counts the moment a consumer finishes,
-// instead of rediscovering completions with shard-wide Done() scans.
+// instead of rediscovering completions with table-wide Done() scans.
 // The node must still be in the Building state, on the thread building
 // it.
 func (n *Node) AddHold(h Holder) { n.holds = append(n.holds, h) }
@@ -219,7 +241,6 @@ type Graph struct {
 	_ cacheline.Pad
 
 	nextID atomic.Int64 //smpss:writer=submitter
-	edges  atomic.Int64 //smpss:writer=submitter
 
 	_ cacheline.Pad
 }
@@ -237,9 +258,6 @@ func New(ready func(n *Node, releasedBy int)) *Graph {
 
 // Added returns the total number of nodes ever added.
 func (g *Graph) Added() int64 { return g.nextID.Load() }
-
-// Edges returns the total number of true-dependency edges ever added.
-func (g *Graph) Edges() int64 { return g.edges.Load() }
 
 // AddNode creates a node in the Building state.  The caller must add all
 // edges with AddEdge and then call Seal exactly once.
@@ -259,11 +277,11 @@ func (g *Graph) Init(n *Node, kind int, label string, priority bool, payload any
 	n.Label = label
 	n.Priority = priority
 	n.Payload = payload
-	n.executedBy, n.affinity = 0, 0
-	n.npred.Store(0)
-	n.poisoned.Store(false)
-	n.pending.Store(1) // construction hold
-	// Last, after the ID: see Ref.Done.
+	n.executedBy, n.affinity, n.npred = 0, 0, 0
+	if n.pending.Load() != 0 {
+		panic("graph: Init of a node that never became ready")
+	}
+	// Last, after the ID: see Ref.Done.  It clears the taint too.
 	n.state.Store(int32(StateBuilding))
 	if r := g.rec.Load(); r != nil {
 		r.addNode(n)
@@ -279,28 +297,21 @@ func (g *Graph) AddEdge(from, to *Node) {
 	if from == to {
 		return
 	}
-	// Count the dependency before publishing the edge: once "to" is in
-	// from.succs, a concurrent Complete(from) may decrement to.pending at
-	// any moment, and it must never observe the count without this edge.
-	// "to" is still under construction (its hold is in place), so the
-	// rollback below can never drop pending to zero.
-	to.pending.Add(1)
 	from.mu.Lock()
-	if from.Done() {
-		// poisoned is final once Done is stored, and "from" cannot start
-		// a new life under its own lock.
-		if from.poisoned.Load() {
-			to.poisoned.Store(true)
-		}
+	// The state is final once Done is stored, taint included, and "from"
+	// cannot start a new life under its own lock.
+	if st := from.state.Load(); st&stateMask == int32(StateDone) {
 		from.mu.Unlock()
-		to.pending.Add(-1)
+		if st&poisonBit != 0 {
+			to.MarkPoisoned()
+		}
 		return
 	}
 	from.succs = append(from.succs, to)
 	from.mu.Unlock()
-
-	to.npred.Add(1)
-	g.edges.Add(1)
+	// From here a concurrent Complete(from) may decrement to.pending at
+	// any moment, to below zero until Seal.
+	to.npred++
 
 	if r := g.rec.Load(); r != nil {
 		r.addEdge(from.ID, to.ID)
@@ -311,18 +322,19 @@ func (g *Graph) AddEdge(from, to *Node) {
 // the readiness callback fires on the calling (main) thread with
 // releasedBy = MainThread.
 func (g *Graph) Seal(n *Node) {
-	if n.pending.Add(-1) == 0 {
+	// A node without edges is in no successor list: nothing else counts.
+	if n.npred == 0 || n.pending.Add(n.npred) == 0 {
 		g.fireReady(n, MainThread)
 	}
 }
 
 func (g *Graph) fireReady(n *Node, by int) {
-	n.state.Store(int32(StateReady))
+	n.setState(StateReady)
 	g.readyCB(n, by)
 }
 
 // MarkRunning transitions a node from Ready to Running.
-func (g *Graph) MarkRunning(n *Node) { n.state.Store(int32(StateRunning)) }
+func (g *Graph) MarkRunning(n *Node) { n.setState(StateRunning) }
 
 // Complete marks n done and releases its successors.  Successors whose
 // dependency count reaches zero fire the readiness callback with
@@ -350,7 +362,8 @@ func (g *Graph) complete(n *Node, worker int, chain bool) *Node {
 	// see the worker id.
 	n.executedBy = int32(worker) + 1
 	n.mu.Lock()
-	n.state.Store(int32(StateDone))
+	poison := n.state.Load() & poisonBit
+	n.state.Store(int32(StateDone) | poison)
 	n.mu.Unlock()
 	// Done, stored under the lock, closed the successor list: AddEdge
 	// appends nothing any more, so it is read without the lock.
@@ -359,14 +372,13 @@ func (g *Graph) complete(n *Node, worker int, chain bool) *Node {
 	// kept is the candidate for inline chaining: the first non-priority
 	// successor this completion released, withheld from the readiness
 	// callback until a second release proves the completion fans out.
-	poison := n.poisoned.Load()
 	var kept *Node
 	for _, s := range succs {
 		// Taint before the decrement: whoever's decrement reaches zero
 		// (this thread or a concurrent predecessor's) fires readiness
 		// after this store, so the executor always observes the poison.
-		if poison {
-			s.poisoned.Store(true)
+		if poison != 0 {
+			s.MarkPoisoned()
 		}
 		if s.pending.Add(-1) != 0 {
 			continue
@@ -385,7 +397,7 @@ func (g *Graph) complete(n *Node, worker int, chain bool) *Node {
 		g.fireReady(s, worker)
 	}
 	if kept != nil {
-		kept.state.Store(int32(StateReady))
+		kept.setState(StateReady)
 	}
 	clear(succs)
 	n.succs = succs[:0]

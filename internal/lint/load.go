@@ -9,7 +9,7 @@
 // atomic/plain field access, a line of padding between fields with
 // different writers, four-file trace-event wiring, discarded Submit
 // errors, chaos-site installation and disarmed-path shape, and
-// canonical shard lock order — so `smpssvet ./...` (cmd/smpssvet) can
+// canonical stripe lock order — so `smpssvet ./...` (cmd/smpssvet) can
 // enforce in CI what until now only reviewer memory enforced.
 package lint
 

@@ -6,15 +6,15 @@ import (
 	"go/types"
 )
 
-// lockorder enforces the AnalyzeBatch discipline on striped mutexes: a
-// struct with a sync.Mutex that is laid out as a slice/array element
-// (deps.shard, trace.stripe, the scheduler's per-worker deques) is a
-// stripe set, and holding one stripe while acquiring another is a
-// deadlock waiting for two submitters to pick opposite orders — unless
-// the acquisition is the canonical ascending-index mask walk:
+// lockorder enforces one discipline on striped mutexes: a struct with a
+// sync.Mutex that is laid out as a slice/array element (trace.stripe,
+// the scheduler's per-worker deques) is a stripe set, and holding one
+// stripe while acquiring another is a deadlock waiting for two threads
+// to pick opposite orders — unless the acquisition is the canonical
+// ascending-index mask walk:
 //
 //	for m := mask; m != 0; m &= m - 1 {
-//		t.shards[bits.TrailingZeros64(m)].mu.Lock()
+//		t.stripes[bits.TrailingZeros64(m)].mu.Lock()
 //	}
 //
 // which always locks in ascending stripe index.  The analyzer walks
@@ -22,7 +22,7 @@ import (
 // structured control flow: a second Lock while one is held is flagged,
 // as is any loop that accumulates striped locks without the canonical
 // mask shape.  Balanced per-iteration lock/unlock loops (snapshot
-// loops like Tracker.Stats), defer-unlock, and unlock-then-panic
+// loops), defer-unlock, and unlock-then-panic
 // escape branches all stay clean.
 func init() {
 	Register(&Analyzer{

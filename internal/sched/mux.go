@@ -438,12 +438,14 @@ func (m *TokenMux) wakeIdle(slot int) bool {
 // condition.  An unrestricted idle worker is popped off the idle stack;
 // otherwise the token is delivered directly — that is how a context's
 // parked submitter (which never joins the idle stack) is woken by its
-// completions and its tracker's reclaim hook.
+// completions and its tracker's reclaim hook, so that case takes no
+// lock.  A worker that announces itself after the look at inIdle rechecks
+// its condition before it parks, and finds the token if it does park.
 func (m *TokenMux) Wake(slot int) {
 	if slot < 0 || slot >= len(m.parker) {
 		return
 	}
-	if !m.wakeIdle(slot) {
+	if !m.inIdle[slot].Load() || !m.wakeIdle(slot) {
 		m.token(slot)
 	}
 }

@@ -334,3 +334,31 @@ func TestIdleTenantKeepsWakeElision(t *testing.T) {
 		t.Fatalf("drain after Close = %v, want task 7", n)
 	}
 }
+
+// TestWakeOffIdleStackTakesNoLock: a submitter slot is never on the idle
+// stack, so its completions' Wake must deliver the token without the
+// stack's lock — here held by the test for the duration.  A slot that is
+// on the stack still goes through the lock and comes off the stack.
+func TestWakeOffIdleStackTakesNoLock(t *testing.T) {
+	m := NewTokenMux(2)
+	m.mu.Lock()
+	m.Wake(0) // would deadlock on m.mu
+	m.mu.Unlock()
+	select {
+	case <-m.parker[0]:
+	default:
+		t.Fatalf("Wake of a slot off the idle stack delivered no token")
+	}
+
+	m.announce(1)
+	m.Wake(1)
+	select {
+	case <-m.parker[1]:
+	default:
+		t.Fatalf("Wake of an idle worker delivered no token")
+	}
+	if m.inIdle[1].Load() || m.nidle.Load() != 0 || len(m.idle) != 0 {
+		t.Fatalf("woken worker still on the idle stack: inIdle %v, nidle %d, stack %v",
+			m.inIdle[1].Load(), m.nidle.Load(), m.idle)
+	}
+}
