@@ -146,7 +146,7 @@ func HeatSMPSsGS(ctx *core.Context, h *hypermatrix.Matrix, bc HeatBC, sweeps int
 	m := h.M
 	gs := core.NewTaskDef("heat_gs", func(a *core.Args) {
 		get := func(i int) []float32 {
-			if a.Value(i) == nil {
+			if a.Opaque(i) == nil {
 				return nil
 			}
 			return a.F32(i + 6)
@@ -165,9 +165,9 @@ func HeatSMPSsGS(ctx *core.Context, h *hypermatrix.Matrix, bc HeatBC, sweeps int
 				args := make([]core.Arg, 0, 10)
 				for _, nb := range [][]float32{up, down, left, right} {
 					if nb == nil {
-						args = append(args, core.Value(nil))
+						args = append(args, core.Opaque(nil))
 					} else {
-						args = append(args, core.Value(1))
+						args = append(args, core.Opaque(true))
 					}
 				}
 				args = append(args, core.Value(0)) // pad: data starts at 5
@@ -209,7 +209,7 @@ func HeatSMPSsJacobi(ctx *core.Context, h *hypermatrix.Matrix, bc HeatBC, sweeps
 	m := h.M
 	jac := core.NewTaskDef("heat_jacobi", func(a *core.Args) {
 		get := func(i int) []float32 {
-			if a.Value(i) == nil {
+			if a.Opaque(i) == nil {
 				return nil
 			}
 			return a.F32(i + 7)
@@ -225,9 +225,9 @@ func HeatSMPSsJacobi(ctx *core.Context, h *hypermatrix.Matrix, bc HeatBC, sweeps
 				args := make([]core.Arg, 0, 11)
 				for _, nb := range [][]float32{up, down, left, right} {
 					if nb == nil {
-						args = append(args, core.Value(nil))
+						args = append(args, core.Opaque(nil))
 					} else {
-						args = append(args, core.Value(1))
+						args = append(args, core.Opaque(true))
 					}
 				}
 				args = append(args, core.Value(0)) // pad: data starts at 5

@@ -24,6 +24,8 @@
 package core
 
 import (
+	"math"
+
 	"repro/internal/dataid"
 	"repro/internal/deps"
 )
@@ -51,62 +53,107 @@ const (
 	argOpaque
 )
 
+// valueKind is how a Value argument's eight bytes are to be read.
+type valueKind uint8
+
+const (
+	vSigned   valueKind = iota // an int64, sign-extended
+	vUnsigned                  // a uint64, zero-extended
+	vFloat                     // a float64, widened exactly
+)
+
 // Arg is one bound task parameter, built with In, Out, InOut, Value or
-// Opaque (optionally restricted to a Region with the *R variants).
+// Opaque (optionally restricted to a Region with the *R variants; InPtr,
+// OutPtr and InOutPtr for a pointer).  It is the flat record the paper's
+// compiler passes per parameter — address, size, directionality — and
+// building one allocates nothing.
 type Arg struct {
-	kind   argKind
-	mode   deps.Mode
-	region deps.Region
-	// data is the tracked object of a data argument, the value of a Value
-	// or Opaque one.
-	data any
+	// One word: what the argument is, and the dimension count of its
+	// region (the bounds follow the reference).
+	kind  argKind
+	mode  deps.Mode
+	dims  uint8
+	vkind valueKind
+	// ref is the tracked object of a data argument; the value of a Value
+	// one, widened to eight bytes, in its length word under the type word
+	// of a pointer to its type; the two words of an Opaque one's `any`.
+	ref    dataid.Ref
+	bounds deps.Extents
 }
 
-// In declares data the task only reads ("input" clause).  data must be a
-// slice or a pointer.
-func In(data any) Arg { return Arg{kind: argData, mode: deps.ModeIn, data: data} }
+// integer and float are the types Value passes.
+type (
+	integer interface {
+		~int | ~int8 | ~int16 | ~int32 | ~int64 | ~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64 | ~uintptr
+	}
+	float interface{ ~float32 | ~float64 }
+)
+
+func dataArg(mode deps.Mode, ref dataid.Ref) Arg { return Arg{kind: argData, mode: mode, ref: ref} }
+
+// within restricts a data argument to region r.
+func (a *Arg) within(r *Region) { a.dims, a.bounds = uint8(r.Dims()), r.Extents }
+
+// In declares data the task only reads ("input" clause).
+func In[T any](s []T) Arg { return dataArg(deps.ModeIn, dataid.Slice(s)) }
 
 // Out declares data the task completely overwrites ("output" clause).
 // The runtime may hand the task a renamed, uninitialized instance, so the
 // task must not read it before writing.
-func Out(data any) Arg { return Arg{kind: argData, mode: deps.ModeOut, data: data} }
+func Out[T any](s []T) Arg { return dataArg(deps.ModeOut, dataid.Slice(s)) }
 
 // InOut declares data the task reads and writes ("inout" clause).
-func InOut(data any) Arg { return Arg{kind: argData, mode: deps.ModeInOut, data: data} }
+func InOut[T any](s []T) Arg { return dataArg(deps.ModeInOut, dataid.Slice(s)) }
 
 // InR is In restricted to a sub-array region (§V.A extension).
-func InR(data any, r Region) Arg {
-	return Arg{kind: argData, mode: deps.ModeIn, region: r, data: data}
+func InR[T any](s []T, r Region) Arg {
+	a := In(s)
+	a.within(&r)
+	return a
 }
 
 // OutR is Out restricted to a sub-array region.  Region writes never
 // rename, so the task writes the named elements in place.
-func OutR(data any, r Region) Arg {
-	return Arg{kind: argData, mode: deps.ModeOut, region: r, data: data}
+func OutR[T any](s []T, r Region) Arg {
+	a := Out(s)
+	a.within(&r)
+	return a
 }
 
 // InOutR is InOut restricted to a sub-array region.
-func InOutR(data any, r Region) Arg {
-	return Arg{kind: argData, mode: deps.ModeInOut, region: r, data: data}
+func InOutR[T any](s []T, r Region) Arg {
+	a := InOut(s)
+	a.within(&r)
+	return a
 }
+
+// InPtr is In on the one T that p points to.
+func InPtr[T any](p *T) Arg { return dataArg(deps.ModeIn, dataid.Pointer(p)) }
+
+// OutPtr is Out on the one T that p points to.
+func OutPtr[T any](p *T) Arg { return dataArg(deps.ModeOut, dataid.Pointer(p)) }
+
+// InOutPtr is InOut on the one T that p points to.
+func InOutPtr[T any](p *T) Arg { return dataArg(deps.ModeInOut, dataid.Pointer(p)) }
 
 // Value passes v by value: it is copied at submission and never analyzed
 // for dependencies, like scalar parameters in the paper's examples
-// ("input(i, j)" on ints).
-func Value(v any) Arg { return Arg{kind: argValue, data: v} }
+// ("input(i, j)" on ints).  Anything that is not a number goes through
+// Opaque.
+func Value[T integer | float](v T) Arg {
+	// Each test is a constant once T is known, so one arm survives.
+	kind, bits := vUnsigned, uint64(v)
+	switch {
+	case T(1)/2 != 0:
+		kind, bits = vFloat, math.Float64bits(float64(v))
+	case T(0)-1 < 0:
+		kind, bits = vSigned, uint64(int64(v))
+	}
+	return Arg{kind: argValue, vkind: kind, ref: dataid.Word[T](bits)}
+}
 
 // Opaque passes v without any dependency analysis, reproducing the
 // paper's "opaque pointers": parameters of type void* pass through the
 // runtime unaltered (§II).  Opaque arguments are the foundation of the
 // representant technique (§V.B).
-func Opaque(v any) Arg { return Arg{kind: argOpaque, data: v} }
-
-// dataKey returns the dependency-analysis identity of a data argument:
-// the base address of the slice's backing array, or the pointer value.
-// This mirrors the 2008 runtime, which keys its analysis on parameter
-// memory addresses.
-func dataKey(data any) uintptr { return dataid.Key(data) }
-
-// copyInto copies src's contents into dst; both must have the shape
-// dataid.AllocLike produces for the same exemplar.
-func copyInto(dst, src any) { dataid.CopyInto(dst, src) }
+func Opaque(v any) Arg { return Arg{kind: argOpaque, ref: dataid.Split(v)} }

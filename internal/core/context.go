@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cacheline"
 	"repro/internal/chaos"
+	"repro/internal/dataid"
 	"repro/internal/deps"
 	"repro/internal/graph"
 	"repro/internal/sched"
@@ -388,12 +390,26 @@ func (c *Context) admit(op string) error {
 // NewBatch creates an empty reusable batch bound to the context.
 func (c *Context) NewBatch() *Batch { return &Batch{c: c} }
 
+// paceWindow is the number of open tasks from which the submitter yields
+// once per Submit (see throttle).
+const paceWindow = 2048
+
 // throttle blocks the submitting thread — executing this context's
 // tasks meanwhile — while either of the paper's §III blocking
 // conditions holds (graph size limit, memory limit).  The graph limit
 // applies hysteresis: once hit, the submitter stays blocked until a
 // quarter of the limit has drained, so it does not bounce across the
 // threshold while the workers chew at the boundary.
+//
+// Well below the limit the submitter is paced, not blocked: with
+// paceWindow tasks open it gives its processor away once per Submit.
+// More lookahead than that finds the workers no more parallelism, and a
+// submitter that outruns them — one that builds its arguments without
+// allocating does, on null tasks — makes them slower: the open records
+// are the working set both sides cycle through, and a chain of null
+// tasks runs a fifth slower through sixteen thousand open records than
+// through two thousand.  Long tasks fill the window to the limit as
+// before, a yield per Submit later.
 //
 // The memory limit is a parked wait, not a spin: when no task is
 // available to help with, the submitter sleeps in the pool and is woken
@@ -409,16 +425,21 @@ func (c *Context) NewBatch() *Batch { return &Batch{c: c} }
 // the other contexts.
 func (c *Context) throttle() {
 	// Added - completedSeen never undercounts the open tasks, so below
-	// the limit the workers' line is left alone.
+	// both marks the workers' line is left alone.
 	if limit := int64(c.cfg.GraphLimit); limit > 0 &&
-		c.g.Added()-c.completedSeen >= limit && c.open() >= limit {
-		low := limit - limit/4
-		// One closure per episode, not per helped task: it escapes.
-		drained := func() bool { return c.open() < low }
-		for !drained() {
-			if !c.helpOnce(drained) {
-				break
+		c.g.Added()-c.completedSeen >= min(limit, paceWindow) {
+		switch open := c.open(); {
+		case open >= limit:
+			low := limit - limit/4
+			// One closure per episode, not per helped task: it escapes.
+			drained := func() bool { return c.open() < low }
+			for !drained() {
+				if !c.helpOnce(drained) {
+					break
+				}
 			}
+		case open >= paceWindow:
+			runtime.Gosched()
 		}
 	}
 	if limit := c.cfg.MemoryLimit; limit > 0 {
@@ -479,19 +500,19 @@ func (c *Context) submitOne(def *TaskDef, args []Arg) {
 		a := &args[i]
 		switch a.kind {
 		case argValue, argOpaque:
-			rec.args[i] = boundArg{kind: a.kind, instance: a.data}
+			rec.args[i] = boundArg{kind: a.kind, vkind: a.vkind, bits: a.ref.Word(), instance: a.ref.Any()}
 		case argData:
 			accs = append(accs, deps.Access{
-				Key:    dataKey(a.data),
+				Key:    a.ref.Key(),
 				Mode:   a.mode,
-				Region: a.region,
-				Data:   a.data,
-				Copy:   copyInto,
+				Region: deps.Join(int(a.dims), a.bounds),
+				Ref:    a.ref,
+				Copy:   dataid.CopyInto,
 			})
 			ixs = append(ixs, i)
 		}
 	}
-	// Only now does the task exist: dataKey panics on an argument without
+	// Only now does the task exist: Key panics on an argument without
 	// an address identity, and Added(), which Init bumps, is the count a
 	// Barrier waits for.  A refused Submit costs the record, not a hang.
 	node := &rec.node
@@ -552,7 +573,7 @@ func (c *Context) exec(n *graph.Node, self int) {
 			// producer guarantees the source contents are final.
 			for i := range rec.args {
 				if b := &rec.args[i]; b.copyFrom != nil {
-					copyInto(b.instance, b.copyFrom)
+					dataid.CopyInto(b.instance, b.copyFrom)
 					b.copyFrom = nil
 				}
 			}
@@ -670,7 +691,7 @@ func (c *Context) WaitOn(data any) error { return c.WaitOnRegion(data, deps.Full
 // the object was renamed (whole-object writes), the sync-back copies the
 // entire object.
 func (c *Context) WaitOnRegion(data any, r Region) error {
-	key := dataKey(data)
+	key := dataid.Key(data)
 	if c.tr.WriterPending(key, r) {
 		// Built only when there is something to wait for: it escapes.
 		done := func() bool { return !c.tr.WriterPending(key, r) }
@@ -690,7 +711,7 @@ func (c *Context) WaitOnRegion(data any, r Region) error {
 // WaitOn(data): no task touching data may be pending.  Renamed contents
 // are NOT synced back — data keeps whatever it last held — and a later
 // access re-registers data afresh.
-func (c *Context) Forget(data any) { c.tr.Forget(dataKey(data)) }
+func (c *Context) Forget(data any) { c.tr.Forget(dataid.Key(data)) }
 
 // Close waits for all of this context's outstanding work (an implicit
 // barrier), then detaches the context from the pool, freeing its slot

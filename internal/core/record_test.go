@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/graph"
 )
@@ -24,28 +25,52 @@ func waitDrained(c *Context) {
 	}
 }
 
-// TestSubmitAllocatesNothing pins the steady-state cost of Submit at
-// zero allocations inside the runtime.  The caller boxes its arguments
-// once, outside the measured function, so the pin measures the runtime
-// and not core.InOut.  One thread and no throttle: nothing executes
-// between the warm-up's Barrier and the closing one, so the measured
-// Submits reuse exactly what the warm-up freed.
+// submitOK is Submit for the allocation pins: a direct call, so the
+// argument list stays on the caller's stack as it does at any call site.
+func submitOK(t *testing.T, c *Context, def *TaskDef, args ...Arg) {
+	if err := c.Submit(def, args...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSubmitAllocatesNothing pins the steady-state cost of a Submit call
+// site at zero allocations: the arguments are built inside the measured
+// function, as a program builds them.  One thread and no throttle:
+// nothing executes between the warm-up's Barrier and the closing one, so
+// the measured Submits reuse exactly what the warm-up freed.
 func TestSubmitAllocatesNothing(t *testing.T) {
 	const warm, runs = 48, 32 // < the rename pool's per-class bound
 	x := make([]float32, 64)
 	y := make([]float32, 64)
+	z := make([]float32, 64)
+	type cell struct{ v, w int64 }
+	p := new(cell)
+	big, frac := 1<<40, 2.5
 	cases := []struct {
 		name  string
-		calls [][]Arg // the task sequence of one run
+		run   func(t *testing.T, c *Context) // the task sequence of one run
 		check func(t *testing.T, before, after Stats)
 	}{
-		{name: "inout", calls: [][]Arg{{InOut(x)}}},
-		{name: "in+inout", calls: [][]Arg{{In(x), InOut(y)}}},
+		{name: "inout", run: func(t *testing.T, c *Context) { submitOK(t, c, nopDef, InOut(x)) }},
+		{name: "in+inout", run: func(t *testing.T, c *Context) { submitOK(t, c, nopDef, In(x), InOut(y)) }},
+		{name: "value-int>255", run: func(t *testing.T, c *Context) { submitOK(t, c, nopDef, InOut(x), Value(big)) }},
+		{name: "value-float64", run: func(t *testing.T, c *Context) { submitOK(t, c, nopDef, InOut(x), Value(frac)) }},
+		{name: "ptr", run: func(t *testing.T, c *Context) { submitOK(t, c, nopDef, InPtr(p), InOut(x)) }},
+		{
+			// rename_churn's reader: two inputs, an accumulator, an index.
+			name: "in+in+inout+value",
+			run: func(t *testing.T, c *Context) {
+				submitOK(t, c, nopDef, In(x), In(y), InOut(z), Value(int64(big)))
+			},
+		},
 		{
 			// The reader is still pending when the writer is analyzed, so
 			// every Out renames, into an instance the warm-up released.
-			name:  "out-renames-pool-hit",
-			calls: [][]Arg{{In(x)}, {Out(x)}},
+			name: "out-renames-pool-hit",
+			run: func(t *testing.T, c *Context) {
+				submitOK(t, c, nopDef, In(x))
+				submitOK(t, c, nopDef, Out(x))
+			},
 			check: func(t *testing.T, before, after Stats) {
 				if d := after.Renames - before.Renames; d != runs+1 {
 					t.Errorf("measured renames = %d, want %d", d, runs+1)
@@ -61,13 +86,7 @@ func TestSubmitAllocatesNothing(t *testing.T) {
 			rt := New(Config{Workers: 1})
 			defer rt.Close()
 			c := rt.Context()
-			run := func() {
-				for _, args := range tc.calls {
-					if err := c.Submit(nopDef, args...); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
+			run := func() { tc.run(t, c) }
 			for i := 0; i < warm; i++ {
 				run()
 			}
@@ -85,6 +104,14 @@ func TestSubmitAllocatesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestArgSize: an Arg is copied into every Submit's argument list, and
+// PR 14 measured what a 96-byte one costs cholesky_tiles.
+func TestArgSize(t *testing.T) {
+	if n := unsafe.Sizeof(Arg{}); n > 80 {
+		t.Fatalf("Sizeof(Arg) = %d, want at most 80", n)
 	}
 }
 
@@ -106,29 +133,26 @@ func TestRegionSubmitAllocatesNothing(t *testing.T) {
 	mat := make([]float32, warm*leaf)
 	var boxed any = src
 	cases := []struct {
-		name string
-		args func(lo int64) []Arg // the task of the leaf at lo
+		name   string
+		submit func(t *testing.T, c *Context, lo int64) // the task of the leaf at lo
 	}{
-		{"inout", func(lo int64) []Arg { return []Arg{InOutR(src, Span(lo, leaf))} }},
-		{"in+in+out", func(lo int64) []Arg {
-			return []Arg{InR(src, Span(lo, leaf/2)), InR(src, Span(lo+leaf/2, leaf/2)), OutR(dst, Span(lo, leaf))}
+		{"inout", func(t *testing.T, c *Context, lo int64) { submitOK(t, c, nopDef, InOutR(src, Span(lo, leaf))) }},
+		{"in+in+out", func(t *testing.T, c *Context, lo int64) {
+			submitOK(t, c, nopDef,
+				InR(src, Span(lo, leaf/2)), InR(src, Span(lo+leaf/2, leaf/2)), OutR(dst, Span(lo, leaf)))
 		}},
-		{"rect", func(lo int64) []Arg { return []Arg{InOutR(mat, Rect(lo/leaf, lo/leaf, 0, leaf-1))} }},
+		{"rect", func(t *testing.T, c *Context, lo int64) {
+			submitOK(t, c, nopDef, InOutR(mat, Rect(lo/leaf, lo/leaf, 0, leaf-1)))
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rt := New(Config{Workers: 1})
 			defer rt.Close()
 			c := rt.Context()
-			var calls [warm][]Arg
-			for i := range calls {
-				calls[i] = tc.args(int64(i) * leaf)
-			}
 			next := 0
 			run := func() {
-				if err := c.Submit(nopDef, calls[next%warm]...); err != nil {
-					t.Fatal(err)
-				}
+				tc.submit(t, c, int64(next%warm)*leaf)
 				next++
 			}
 			for pass := 0; pass < 2; pass++ {

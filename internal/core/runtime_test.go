@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -370,6 +371,30 @@ func TestGraphLimitThrottlesSubmitter(t *testing.T) {
 	}
 }
 
+// TestSubmitterPacesItself: with paceWindow tasks open the submitter
+// gives its processor away on every Submit.  On one processor nothing
+// else lets the worker in before the Barrier (a burst this short is over
+// before the runtime would preempt it), so a task that has run by then
+// ran in a yield.
+func TestSubmitterPacesItself(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rt := New(Config{Workers: 2})
+	defer rt.Close()
+	cells := make([][]float32, 64)
+	for i := range cells {
+		cells[i] = make([]float32, 1)
+	}
+	for i := 0; i < paceWindow+len(cells); i++ {
+		rt.Submit(nopDef, InOut(cells[i%len(cells)]))
+	}
+	if st := rt.Stats(); st.TasksExecuted == 0 {
+		t.Errorf("no task ran while the submitter was %d ahead", st.TasksSubmitted)
+	}
+	if err := rt.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSingleWorkerRunsEverythingAtBarrier(t *testing.T) {
 	rt := New(Config{Workers: 1})
 	defer rt.Close()
@@ -683,7 +708,7 @@ func TestRandomMixedRegionProgramMatchesSequential(t *testing.T) {
 
 	def := NewTaskDef("mixed", func(a *Args) {
 		data := a.F32(0)
-		o := a.Value(1).(op)
+		o := a.Opaque(1).(op)
 		apply(data, o)
 	})
 	for _, workers := range []int{1, 8} {
@@ -706,7 +731,7 @@ func TestRandomMixedRegionProgramMatchesSequential(t *testing.T) {
 			default:
 				arg = InOutR(x, region)
 			}
-			rt.Submit(def, arg, Value(o))
+			rt.Submit(def, arg, Opaque(o))
 		}
 		if err := rt.Close(); err != nil {
 			t.Fatal(err)
@@ -816,7 +841,7 @@ func TestPointerArguments(t *testing.T) {
 		p.v++
 	})
 	for i := 0; i < 10; i++ {
-		rt.Submit(inc, InOut(c))
+		rt.Submit(inc, InOutPtr(c))
 	}
 	if err := rt.Barrier(); err != nil {
 		t.Fatal(err)
@@ -826,15 +851,19 @@ func TestPointerArguments(t *testing.T) {
 	}
 }
 
-func TestDataKeyPanics(t *testing.T) {
-	for _, bad := range []any{nil, 7, "s", []float32{}} {
+// TestWaitOnPanics: WaitOn and Forget still take an `any`, so what is not
+// data with an address is refused at run time.
+func TestWaitOnPanics(t *testing.T) {
+	rt := newRT(t, 1)
+	defer rt.Close()
+	for _, bad := range []any{nil, 7, "s", []float32{}, (*int)(nil)} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("dataKey(%T) must panic", bad)
+					t.Fatalf("WaitOn(%T) must panic", bad)
 				}
 			}()
-			dataKey(bad)
+			rt.WaitOn(bad)
 		}()
 	}
 }

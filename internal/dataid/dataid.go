@@ -5,8 +5,13 @@
 //
 // The 2008 SMPSs runtime keys its dependency analysis on parameter memory
 // addresses and needs to allocate and copy instances of parameter storage
-// for renaming; Key, AllocLike, ByteSize and CopyInto are the Go
-// equivalents of that machinery.
+// for renaming.  Ref is that parameter as the paper's compiler passes it —
+// an address, a size and the type needed to make more of it — and Key,
+// Bytes, Alloc, Box and CopyInto are the machinery on top.
+//
+// This is the one package that looks inside an interface value: a Ref
+// carries the type word of an `any` without the heap-allocated slice
+// header the `any` itself would cost on every task submission.
 package dataid
 
 import (
@@ -15,115 +20,191 @@ import (
 	"unsafe"
 )
 
-// Key returns the dependency-analysis identity of a data argument: the
-// base address of the slice's backing array, or the pointer value.  This
+// eface is the runtime's layout of an `any`: the dynamic type's
+// descriptor, then the value itself when it is pointer-shaped, a pointer
+// to a copy of it otherwise.  TestBoxRoundTrip fails if a Go release
+// changes it.
+//
+// The type word is held as an integer.  That is what lets a constructor
+// ask for the type of a value without the compiler concluding that the
+// value escapes into the answer (and allocating it), and it is safe: a
+// type descriptor is linked into the binary or, when reflect made it at
+// run time, kept by reflect for good, so no collection is waiting on it.
+type eface struct {
+	typ  uintptr
+	data unsafe.Pointer
+}
+
+// sliceHeader is the value the data word of a boxed slice points to.
+type sliceHeader struct {
+	p        unsafe.Pointer
+	len, cap int
+}
+
+// typeWord returns the descriptor of v's dynamic type.
+func typeWord(v any) uintptr { return (*eface)(unsafe.Pointer(&v)).typ }
+
+// dataWord returns the second word of v.
+func dataWord(v any) unsafe.Pointer { return (*eface)(unsafe.Pointer(&v)).data }
+
+// box builds the `any` of the two words.
+func box(typ uintptr, data unsafe.Pointer) (v any) {
+	*(*eface)(unsafe.Pointer(&v)) = eface{typ, data}
+	return v
+}
+
+// ptrLen is Ref.n of a pointer.
+const ptrLen = -1
+
+// Ref is an unboxed reference to a data argument: the type word of the
+// []T or *T the program named, the base address, and the slice's length
+// (ptrLen for a pointer).  Building and copying one allocates nothing;
+// Box builds the `any` it stands for.  The address is visible to the
+// collector, so a Ref keeps its data alive like the slice would.
+//
+// The same words hold an arbitrary `any` taken apart by Split: Any puts
+// it back together.
+type Ref struct {
+	typ uintptr
+	p   unsafe.Pointer
+	n   int
+}
+
+// Slice returns the reference to s.
+func Slice[T any](s []T) Ref {
+	return Ref{typ: typeWord(s), p: unsafe.Pointer(unsafe.SliceData(s)), n: len(s)}
+}
+
+// Pointer returns the reference to *p.
+func Pointer[T any](p *T) Ref {
+	return Ref{typ: typeWord(p), p: unsafe.Pointer(p), n: ptrLen}
+}
+
+// Of returns the reference to a boxed data argument, a slice or a
+// pointer; Of(r.Box()) == r.
+func Of(data any) Ref {
+	if data != nil {
+		switch reflect.TypeOf(data).Kind() {
+		case reflect.Slice:
+			h := (*sliceHeader)(dataWord(data))
+			return Ref{typ: typeWord(data), p: h.p, n: h.len}
+		case reflect.Pointer:
+			return Ref{typ: typeWord(data), p: dataWord(data), n: ptrLen}
+		}
+	}
+	panic(fmt.Sprintf("dataid: data argument must be a slice or pointer, got %T", data))
+}
+
+// Split takes an arbitrary value apart into the two pointer words of a
+// Ref, for a holder that has room for a Ref but not for an `any` beside
+// it.  Only Any may be called on the result.
+func Split(v any) Ref { return Ref{typ: typeWord(v), p: dataWord(v)} }
+
+// Any returns the value Split took apart, without allocating.
+func (r Ref) Any() any { return box(r.typ, r.p) }
+
+// Word returns a reference to no data that carries eight bytes by value
+// in its length word: a holder's by-value argument rides where a data
+// argument's size does.  Any on it returns (*T)(nil), which names the
+// type the bytes were taken from.
+func Word[T any](bits uint64) Ref { return Ref{typ: typeWord((*T)(nil)), n: int(bits)} }
+
+// Word returns the eight bytes of a Ref built by Word.
+func (r Ref) Word() uint64 { return uint64(r.n) }
+
+// Key returns the dependency-analysis identity of the data: the base
+// address of the slice's backing array, or the pointer value.  This
 // mirrors the 2008 runtime, which keys its analysis on parameter memory
-// addresses.  Every Submit asks for each of its data arguments, so the
-// common slice element types bypass reflection.
-func Key(data any) uintptr {
-	switch d := data.(type) {
-	case []float32:
-		return sliceKey(d)
-	case []float64:
-		return sliceKey(d)
-	case []int64:
-		return sliceKey(d)
-	case []int32:
-		return sliceKey(d)
-	case []int:
-		return sliceKey(d)
-	case []byte:
-		return sliceKey(d)
+// addresses.
+func (r Ref) Key() uintptr {
+	if r.n == 0 {
+		panic("dataid: cannot track an empty slice (no address identity)")
 	}
-	switch v := reflect.ValueOf(data); v.Kind() {
-	case reflect.Slice:
-		if v.Len() == 0 {
-			panic(emptySlice)
-		}
-		return v.Pointer()
-	case reflect.Ptr:
-		if v.IsNil() {
-			panic("dataid: cannot track a nil pointer")
-		}
-		return v.Pointer()
-	default:
-		panic(fmt.Sprintf("dataid: data argument must be a slice or pointer, got %T", data))
+	if r.p == nil {
+		panic("dataid: cannot track a nil pointer")
 	}
+	return uintptr(r.p)
 }
 
-const emptySlice = "dataid: cannot track an empty slice (no address identity)"
+// Key is Of(data).Key().
+func Key(data any) uintptr { return Of(data).Key() }
 
-func sliceKey[T any](s []T) uintptr {
-	if len(s) == 0 {
-		panic(emptySlice)
-	}
-	return uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+// Shape returns the reference without its address: what two
+// interchangeable instances have in common.  Shapes compare with ==.
+func (r Ref) Shape() Ref {
+	r.p = nil
+	return r
 }
 
-// AllocLike returns an allocator producing fresh storage with the same
-// shape as data, used by the renaming engine.
-func AllocLike(data any) func() any {
-	switch d := data.(type) {
-	case []float32:
-		n := len(d)
-		return func() any { return make([]float32, n) }
-	case []float64:
-		n := len(d)
-		return func() any { return make([]float64, n) }
-	case []int64:
-		n := len(d)
-		return func() any { return make([]int64, n) }
-	case []int32:
-		n := len(d)
-		return func() any { return make([]int32, n) }
-	case []int:
-		n := len(d)
-		return func() any { return make([]int, n) }
-	case []byte:
-		n := len(d)
-		return func() any { return make([]byte, n) }
+// Box returns the slice or pointer r refers to as an `any`.  A slice
+// costs the allocation of its header, which is why a runtime boxes once
+// per object and not once per task.
+func (r Ref) Box() any {
+	if r.n == ptrLen {
+		return r.Any()
 	}
-	v := reflect.ValueOf(data)
-	switch v.Kind() {
-	case reflect.Slice:
-		t, n := v.Type(), v.Len()
-		return func() any { return reflect.MakeSlice(t, n, n).Interface() }
-	case reflect.Ptr:
-		t := v.Type().Elem()
-		return func() any { return reflect.New(t).Interface() }
-	default:
-		panic(fmt.Sprintf("dataid: cannot allocate like %T", data))
-	}
+	return box(r.typ, unsafe.Pointer(&sliceHeader{r.p, r.n, r.n}))
 }
 
-// ByteSize returns the storage footprint of a data argument, used to
-// account renamed memory against a runtime's memory limit.
-func ByteSize(data any) int64 {
-	switch d := data.(type) {
-	case []float32:
-		return int64(len(d)) * 4
-	case []float64:
-		return int64(len(d)) * 8
-	case []int64:
-		return int64(len(d)) * 8
-	case []int32:
-		return int64(len(d)) * 4
-	case []byte:
-		return int64(len(d))
+// The type words of the common slice types, which bypass reflection.
+var (
+	typF32  = typeWord([]float32(nil))
+	typF64  = typeWord([]float64(nil))
+	typI64  = typeWord([]int64(nil))
+	typI32  = typeWord([]int32(nil))
+	typInt  = typeWord([]int(nil))
+	typByte = typeWord([]byte(nil))
+)
+
+// rtype returns the []T or *T the reference was built from.
+func (r Ref) rtype() reflect.Type { return reflect.TypeOf(box(r.typ, nil)) }
+
+// Bytes returns the storage footprint of the data, used to account
+// renamed memory against a runtime's memory limit.
+func (r Ref) Bytes() int64 {
+	n := int64(r.n)
+	if r.n == ptrLen {
+		n = 1
 	}
-	v := reflect.ValueOf(data)
-	switch v.Kind() {
-	case reflect.Slice:
-		return int64(v.Len()) * int64(v.Type().Elem().Size())
-	case reflect.Ptr:
-		return int64(v.Type().Elem().Size())
-	default:
-		return 0
+	switch r.typ {
+	case typF64, typI64:
+		return n * 8
+	case typF32, typI32:
+		return n * 4
+	case typInt:
+		return n * int64(unsafe.Sizeof(int(0)))
+	case typByte:
+		return n
 	}
+	return n * int64(r.rtype().Elem().Size())
+}
+
+// Alloc returns fresh storage with the shape of r, used by the renaming
+// engine.
+func (r Ref) Alloc() any {
+	switch r.typ {
+	case typF32:
+		return make([]float32, r.n)
+	case typF64:
+		return make([]float64, r.n)
+	case typI64:
+		return make([]int64, r.n)
+	case typI32:
+		return make([]int32, r.n)
+	case typInt:
+		return make([]int, r.n)
+	case typByte:
+		return make([]byte, r.n)
+	}
+	t := r.rtype()
+	if r.n == ptrLen {
+		return reflect.New(t.Elem()).Interface()
+	}
+	return reflect.MakeSlice(t, r.n, r.n).Interface()
 }
 
 // CopyInto copies src's contents into dst; both must have the shape
-// produced by AllocLike for the same exemplar.
+// produced by Alloc for the same reference.
 func CopyInto(dst, src any) {
 	switch d := dst.(type) {
 	case []float32:
@@ -149,7 +230,7 @@ func CopyInto(dst, src any) {
 	switch dv.Kind() {
 	case reflect.Slice:
 		reflect.Copy(dv, sv)
-	case reflect.Ptr:
+	case reflect.Pointer:
 		dv.Elem().Set(sv.Elem())
 	default:
 		panic(fmt.Sprintf("dataid: cannot copy %T", dst))

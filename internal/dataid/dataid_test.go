@@ -2,6 +2,7 @@ package dataid
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -20,10 +21,10 @@ func TestKeyIdentity(t *testing.T) {
 	if Key(p) == Key(q) {
 		t.Fatal("distinct pointers share a key")
 	}
-	if Key(p) != Key(p) {
-		t.Fatal("pointer key unstable")
+	if Key(p) != Pointer(p).Key() {
+		t.Fatal("the boxed and the unboxed pointer name two addresses")
 	}
-	// The typed fast path and the reflective fallback name one address.
+	// The boxed and the unboxed reference name one address.
 	for _, data := range []any{
 		make([]float32, 2), make([]float64, 2), make([]int64, 2),
 		make([]int32, 2), make([]int, 2), make([]byte, 2), make([]uint16, 2),
@@ -31,6 +32,9 @@ func TestKeyIdentity(t *testing.T) {
 		if got, want := Key(data), reflect.ValueOf(data).Pointer(); got != want {
 			t.Fatalf("Key(%T) = %#x, the backing array is at %#x", data, got, want)
 		}
+	}
+	if Slice(a).Key() != Key(a) {
+		t.Fatal("Slice(a) and Of(a) name two addresses")
 	}
 }
 
@@ -41,6 +45,9 @@ func TestKeyPanics(t *testing.T) {
 		"empty slice of another element type": func() { Key([]uint16{}) },
 		"nil pointer":                         func() { Key((*int)(nil)) },
 		"non-data":                            func() { Key(42) },
+		"nil":                                 func() { Key(nil) },
+		"unboxed empty slice":                 func() { Slice([]float32{}).Key() },
+		"unboxed nil pointer":                 func() { Pointer[int](nil).Key() },
 	} {
 		func() {
 			defer func() {
@@ -53,8 +60,99 @@ func TestKeyPanics(t *testing.T) {
 	}
 }
 
-// TestAllocCopyRoundTrip checks AllocLike + CopyInto reproduce contents
-// for every fast-path type and the reflective fallbacks.
+type pair struct {
+	A, B int
+	P    *int
+}
+
+// TestBoxRoundTrip pins the interface layout the package relies on: a
+// Ref built without an `any` boxes into exactly the value the program
+// named — dynamic type, address, length — for the typed fast paths, the
+// reflective fallbacks and pointers, the box survives a collection, and
+// Of takes it apart again.
+func TestBoxRoundTrip(t *testing.T) {
+	f32 := []float32{1, 2, 3}
+	u16 := []uint16{4, 5}
+	prs := []pair{{A: 6, P: new(int)}, {B: 7}}
+	pp := &pair{A: 8, B: 9}
+	i64 := new(int64)
+	cases := []struct {
+		ref  Ref
+		want any
+	}{
+		{Slice(f32), f32},
+		{Slice(f32[:2]), f32[:2]},
+		{Slice(u16), u16},
+		{Slice(prs), prs},
+		{Pointer(pp), pp},
+		{Pointer(i64), i64},
+	}
+	for _, c := range cases {
+		got := c.ref.Box()
+		runtime.GC()
+		if reflect.TypeOf(got) != reflect.TypeOf(c.want) {
+			t.Fatalf("Box() is a %T, want %T", got, c.want)
+		}
+		gv, wv := reflect.ValueOf(got), reflect.ValueOf(c.want)
+		if gv.Pointer() != wv.Pointer() {
+			t.Fatalf("%T: Box() points at %#x, want %#x", c.want, gv.Pointer(), wv.Pointer())
+		}
+		if gv.Kind() == reflect.Slice && (gv.Len() != wv.Len() || gv.Cap() != wv.Len()) {
+			t.Fatalf("%T: Box() has len %d cap %d, want both %d", c.want, gv.Len(), gv.Cap(), wv.Len())
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("Box() = %v, want %v", got, c.want)
+		}
+		if Of(got) != c.ref || Of(c.want) != c.ref {
+			t.Fatalf("%T: Of(Box()) = %+v, Of(data) = %+v, want %+v", c.want, Of(got), Of(c.want), c.ref)
+		}
+	}
+	if Slice(f32).Shape() != Slice([]float32{7, 8, 9}).Shape() || Slice(f32).Shape() == Slice(f32[:2]).Shape() {
+		t.Fatal("Shape must compare type and length and nothing else")
+	}
+}
+
+func TestBoxAllocations(t *testing.T) {
+	x := make([]int64, 4)
+	p := new(int64)
+	var r Ref
+	if n := testing.AllocsPerRun(100, func() { r = Slice(x); r = Pointer(p) }); n != 0 {
+		t.Fatalf("building a Ref allocates %v times, want 0", n)
+	}
+	var box any
+	if n := testing.AllocsPerRun(100, func() { box = Slice(x).Box() }); n != 1 {
+		t.Fatalf("boxing a slice allocates %v times, want 1 (its header)", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { box = Pointer(p).Box() }); n != 0 {
+		t.Fatalf("boxing a pointer allocates %v times, want 0", n)
+	}
+	_, _ = r, box
+}
+
+// TestSplitAny: any value survives being carried as two words.
+func TestSplitAny(t *testing.T) {
+	for _, v := range []any{nil, 7, 1 << 40, "s", 2.5, []int{1, 2}, &pair{A: 1}, pair{B: 2}, struct{}{}} {
+		r := Split(v)
+		runtime.GC()
+		if got := r.Any(); !reflect.DeepEqual(got, v) {
+			t.Fatalf("Split(%#v).Any() = %#v", v, got)
+		}
+	}
+	v := any(1 << 40)
+	if n := testing.AllocsPerRun(100, func() { v = Split(v).Any() }); n != 0 {
+		t.Fatalf("Split+Any allocates %v times, want 0", n)
+	}
+	w := Word[int16](1<<63 | 5)
+	if got := w.Word(); got != 1<<63|5 {
+		t.Fatalf("Word round trip = %#x", got)
+	}
+	if p, ok := w.Any().(*int16); !ok || p != nil {
+		t.Fatalf("Word[int16]().Any() = %#v, want (*int16)(nil)", w.Any())
+	}
+}
+
+// TestAllocCopyRoundTrip checks Alloc + CopyInto reproduce contents for
+// every fast-path type and the reflective fallbacks.
 func TestAllocCopyRoundTrip(t *testing.T) {
 	exemplars := []any{
 		[]float32{1, 2, 3},
@@ -67,69 +165,23 @@ func TestAllocCopyRoundTrip(t *testing.T) {
 		&struct{ A, B int }{18, 19}, // reflective pointer fallback
 	}
 	for _, ex := range exemplars {
-		fresh := AllocLike(ex)()
+		fresh := Of(ex).Alloc()
+		if reflect.TypeOf(fresh) != reflect.TypeOf(ex) || Of(fresh).Shape() != Of(ex).Shape() {
+			t.Fatalf("Alloc of %T made a %T of another shape", ex, fresh)
+		}
+		if Key(fresh) == Key(ex) {
+			t.Fatalf("Alloc of %T aliases the exemplar", ex)
+		}
 		CopyInto(fresh, ex)
-		back := AllocLike(ex)()
+		back := Of(ex).Alloc()
 		CopyInto(back, fresh)
-		// Round-trip through two fresh instances must preserve contents;
-		// compare via another copy into a string-able form is overkill —
-		// rely on CopyInto symmetry by copying back onto the exemplar
-		// type and checking a probe element where possible.
-		switch v := back.(type) {
-		case []float32:
-			if v[0] != 1 || len(v) != 3 {
-				t.Fatalf("float32 round trip: %v", v)
-			}
-		case []float64:
-			if v[1] != 5 {
-				t.Fatalf("float64 round trip: %v", v)
-			}
-		case []int64:
-			if v[3] != 9 {
-				t.Fatalf("int64 round trip: %v", v)
-			}
-		case []int32:
-			if v[0] != 10 {
-				t.Fatalf("int32 round trip: %v", v)
-			}
-		case []int:
-			if v[1] != 12 {
-				t.Fatalf("int round trip: %v", v)
-			}
-		case []byte:
-			if v[2] != 15 {
-				t.Fatalf("byte round trip: %v", v)
-			}
-		case []uint16:
-			if v[1] != 17 {
-				t.Fatalf("uint16 round trip: %v", v)
-			}
-		case *struct{ A, B int }:
-			if v.A != 18 || v.B != 19 {
-				t.Fatalf("pointer round trip: %+v", v)
-			}
-		default:
-			t.Fatalf("unexpected round-trip type %T", back)
+		if !reflect.DeepEqual(back, ex) {
+			t.Fatalf("%T round trip: %v, want %v", ex, back, ex)
 		}
 	}
 }
 
-// TestAllocLikeIsFresh: allocations must never alias the exemplar.
-func TestAllocLikeIsFresh(t *testing.T) {
-	src := []float32{1, 2, 3}
-	alloc := AllocLike(src)
-	a := alloc().([]float32)
-	b := alloc().([]float32)
-	a[0] = 99
-	if src[0] == 99 || b[0] == 99 {
-		t.Fatal("AllocLike aliases storage")
-	}
-	if len(a) != len(src) {
-		t.Fatalf("AllocLike length %d, want %d", len(a), len(src))
-	}
-}
-
-func TestByteSize(t *testing.T) {
+func TestBytes(t *testing.T) {
 	cases := []struct {
 		data any
 		want int64
@@ -138,33 +190,29 @@ func TestByteSize(t *testing.T) {
 		{[]float64{0}, 8},
 		{[]int64{0, 0, 0}, 24},
 		{[]int32{0}, 4},
+		{[]int{0, 0}, 2 * int64(reflect.TypeOf(0).Size())},
 		{[]byte{0, 0, 0, 0, 0}, 5},
 		{[]uint16{0, 0}, 4},
 		{new(int64), 8},
-		{42, 0},
+		{&pair{}, int64(reflect.TypeOf(pair{}).Size())},
 	}
 	for _, c := range cases {
-		if got := ByteSize(c.data); got != c.want {
-			t.Fatalf("ByteSize(%T) = %d, want %d", c.data, got, c.want)
+		if got := Of(c.data).Bytes(); got != c.want {
+			t.Fatalf("Bytes of %T = %d, want %d", c.data, got, c.want)
 		}
 	}
 }
 
 // TestCopyIntoQuick is the property-based check: for random []int64
-// contents, AllocLike+CopyInto is the identity.
+// contents, Alloc+CopyInto is the identity.
 func TestCopyIntoQuick(t *testing.T) {
 	property := func(vals []int64) bool {
 		if len(vals) == 0 {
 			return true
 		}
-		dst := AllocLike(vals)().([]int64)
+		dst := Slice(vals).Alloc().([]int64)
 		CopyInto(dst, vals)
-		for i := range vals {
-			if dst[i] != vals[i] {
-				return false
-			}
-		}
-		return true
+		return reflect.DeepEqual(dst, vals)
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package deps
 
 import (
-	"reflect"
 	"sync"
 	"sync/atomic"
 
@@ -14,10 +13,7 @@ import (
 // of the instance plus its length for slices — exactly the shape
 // Access.Alloc produces for a given exemplar, so any pooled instance of
 // a class is interchangeable with a fresh allocation.
-type classKey struct {
-	t reflect.Type
-	n int
-}
+type classKey = dataid.Ref
 
 // freeBytesPerClass bounds the idle storage one size class retains in a
 // private store, in bytes: a class of small instances keeps as much
@@ -108,7 +104,7 @@ func (s *Storage) Rescale(units int) {
 		var dropped, bytes int64
 		b.mu.Lock()
 		for n := len(b.free); n > 0; n-- {
-			_, sz := classOf(b.free[n-1])
+			sz := dataid.Of(b.free[n-1]).Bytes()
 			if fits(n, sz, bound) {
 				break
 			}
@@ -257,56 +253,21 @@ func (p *Pool) Stats() PoolStats {
 	}
 }
 
-// classOf maps an exemplar (or instance) to its size class and byte
-// footprint.  The common slice element types bypass reflection.
-func classOf(data any) (classKey, int64) {
-	switch d := data.(type) {
-	case []float32:
-		return classKey{t: typF32, n: len(d)}, int64(len(d)) * 4
-	case []float64:
-		return classKey{t: typF64, n: len(d)}, int64(len(d)) * 8
-	case []int64:
-		return classKey{t: typI64, n: len(d)}, int64(len(d)) * 8
-	case []int32:
-		return classKey{t: typI32, n: len(d)}, int64(len(d)) * 4
-	case []int:
-		return classKey{t: typInt, n: len(d)}, int64(len(d)) * int64(intSize)
-	case []byte:
-		return classKey{t: typByte, n: len(d)}, int64(len(d))
+// ref returns the unboxed reference to the data a names.
+func (a *Access) ref() dataid.Ref {
+	if a.Data != nil {
+		return dataid.Of(a.Data)
 	}
-	v := reflect.ValueOf(data)
-	k := classKey{t: v.Type()}
-	if v.Kind() == reflect.Slice {
-		k.n = v.Len()
-	}
-	return k, dataid.ByteSize(data)
+	return a.Ref
 }
 
-var (
-	typF32  = reflect.TypeOf([]float32(nil))
-	typF64  = reflect.TypeOf([]float64(nil))
-	typI64  = reflect.TypeOf([]int64(nil))
-	typI32  = reflect.TypeOf([]int32(nil))
-	typInt  = reflect.TypeOf([]int(nil))
-	typByte = reflect.TypeOf([]byte(nil))
-)
-
-const intSize = 32 << (^uint(0) >> 63) / 8 // bytes in an int
-
-// alloc allocates a fresh instance shaped like a.Data.
-func (a *Access) alloc() any {
-	if a.Alloc != nil {
-		return a.Alloc()
-	}
-	return dataid.AllocLike(a.Data)()
-}
-
-// acquire returns a storage instance shaped like a.Data — recycled when
-// the class has a free instance, freshly allocated via a.Alloc
+// acquire returns a storage instance shaped like the data a names —
+// recycled when the class has a free instance, freshly allocated
 // otherwise — plus its accounted byte size.  The instance counts as
 // live until released (or forfeited).
 func (p *Pool) acquire(a *Access) (any, int64) {
-	key, bytes := classOf(a.Data)
+	ref := a.ref()
+	key, bytes := ref.Shape(), ref.Bytes()
 	var inst any
 	// Fault-injection point: a simulated exhausted free list turns the
 	// hit into a miss (fresh allocation) — correctness-neutral, but it
@@ -319,7 +280,11 @@ func (p *Pool) acquire(a *Access) (any, int64) {
 		p.hits.Add(1)
 	} else {
 		p.misses.Add(1)
-		inst = a.alloc()
+		if a.Alloc != nil {
+			inst = a.Alloc()
+		} else {
+			inst = ref.Alloc()
+		}
 	}
 	p.liveBytes.Add(bytes)
 	return inst, bytes
@@ -331,8 +296,7 @@ func (p *Pool) acquire(a *Access) (any, int64) {
 // any goroutine.
 func (p *Pool) release(inst any, bytes int64) {
 	p.liveBytes.Add(-bytes)
-	key, _ := classOf(inst)
-	p.storage().put(key, inst, bytes)
+	p.storage().put(dataid.Of(inst).Shape(), inst, bytes)
 	if p.onReclaim != nil {
 		p.onReclaim()
 	}

@@ -32,11 +32,19 @@ const MaxDims = 3
 // one allocates nothing.
 type Region struct {
 	// dims is the number of bounded dimensions; zero selects the whole
-	// object.  lo and hi hold the inclusive bounds of the first dims
-	// dimensions.
-	dims   int
-	lo, hi [MaxDims]int64
+	// object.
+	dims int
+	Extents
 }
+
+// Extents is a Region without its dimension count, for a holder that
+// packs the count into a word of its own (core.Arg): the inclusive
+// bounds of the first dims dimensions.
+type Extents struct{ lo, hi [MaxDims]int64 }
+
+// Join returns the region of the first dims dimensions of e: r is
+// Join(r.Dims(), r.Extents).
+func Join(dims int, e Extents) Region { return Region{dims, e} }
 
 // Full is the region selecting the entire object.
 var Full = Region{}
@@ -45,7 +53,7 @@ var Full = Region{}
 // inclusive, the common case for flat arrays ("data{i..j}" in the paper's
 // syntax).
 func Interval(lo, hi int64) Region {
-	return Region{dims: 1, lo: [MaxDims]int64{lo}, hi: [MaxDims]int64{hi}}
+	return Region{1, Extents{lo: [MaxDims]int64{lo}, hi: [MaxDims]int64{hi}}}
 }
 
 // Span returns a one-dimensional region of length n starting at lo,

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cacheline"
+	"repro/internal/dataid"
 	"repro/internal/graph"
 )
 
@@ -58,11 +59,17 @@ type Access struct {
 	// The zero Region means the whole object.
 	Region Region
 	// Data is the user-visible storage for the object's initial version.
+	// A caller that would have to allocate to build it per access leaves
+	// it nil and names the storage by Ref instead.
 	Data any
-	// Alloc allocates a fresh instance with the same shape as Data, for
-	// a renamed write that finds no recycled one.  nil selects
-	// dataid.AllocLike(Data)(), so a caller whose data has one of the
-	// shapes dataid knows builds no allocator per access.
+	// Ref names the same storage unboxed and is read only when Data is
+	// nil.  The tracker boxes it where it stores an `any`: when it first
+	// sees the object, and when a rename finds no recycled instance.
+	Ref dataid.Ref
+	// Alloc allocates a fresh instance with the same shape as the data,
+	// for a renamed write that finds no recycled one.  nil selects the
+	// reference's own Alloc, so a caller whose data dataid can shape
+	// builds no allocator per access.
 	Alloc func() any
 	// Copy copies the contents of src into dst.  Required when an inout
 	// parameter is renamed; may be nil otherwise.
@@ -417,7 +424,11 @@ func (t *Tracker) SetReclaimHook(f func()) { t.pool.SetReclaimHook(f) }
 func (t *Tracker) lookup(d *Stats, a *Access) *object {
 	obj := t.objects[a.Key]
 	if obj == nil {
-		obj = &object{key: a.Key, cur: t.newVersion(nil, a.Data), original: a.Data}
+		data := a.Data
+		if data == nil {
+			data = a.Ref.Box()
+		}
+		obj = &object{key: a.Key, cur: t.newVersion(nil, data), original: data}
 		t.objects[a.Key] = obj
 		d.Objects++
 	}
