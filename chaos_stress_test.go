@@ -260,6 +260,102 @@ func TestChaosDrainForcesFaultedStragglers(t *testing.T) {
 	}
 }
 
+// TestChaosCanceledTenantAccountsEveryTask is the no-lost-tasks
+// invariant under cancellation: SMPSs tenants submit in paced slices
+// on a fixed pool with the machinery sites armed, one tenant is
+// canceled mid-flight, and for every tenant executed + poisoned +
+// canceled must equal submitted, the scheduler's books must balance,
+// and no renamed byte may stay live after its drain.
+func TestChaosCanceledTenantAccountsEveryTask(t *testing.T) {
+	const tenants = 4
+	chaos.Install(chaos.New(chaos.Config{
+		Seed: 0xACC7,
+		Rates: map[chaos.Site]float64{
+			chaos.SiteStealDelay:    0.1,
+			chaos.SiteWakeDrop:      0.3,
+			chaos.SiteRenameExhaust: 0.3,
+		},
+		Delay: 50 * time.Microsecond,
+	}))
+	defer chaos.Uninstall()
+
+	pool, err := core.NewPool(core.PoolConfig{Workers: 4, MaxContexts: tenants})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctxs := make([]*core.Context, tenants)
+	for i := range ctxs {
+		c, err := pool.NewContext(core.ContextConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctxs[i] = c
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, tenants)
+	// Closed once tenant 0 has two slices in: the cancel then lands
+	// while it still has most of its program left to submit.
+	started := make(chan struct{})
+	for i, c := range ctxs {
+		ops := genEquivProgram(int64(900 + i))
+		wg.Add(1)
+		go func(i int, c *core.Context, ops []equivOp) {
+			defer wg.Done()
+			bufs := freshBuffers()
+			// Submit in paced slices, so the cancel races both the
+			// queued work and the next Submit.
+			for lo := 0; lo < len(ops); lo += 50 {
+				hi := min(lo+50, len(ops))
+				if err := equivSubmitCore(c, ops[lo:hi], bufs); err != nil {
+					// The canceled tenant's submissions start failing;
+					// fall through to Barrier, which still drains the
+					// already-queued work as canceled skips.
+					break
+				}
+				if i == 0 && lo == 50 {
+					close(started)
+				}
+				time.Sleep(500 * time.Microsecond)
+			}
+			errs[i] = c.Barrier()
+		}(i, c, ops)
+	}
+	<-started
+	ctxs[0].Cancel() // one tenant aborts mid-flight
+	wg.Wait()
+
+	for i, c := range ctxs {
+		st := c.Stats()
+		if err := statsConserved(st); err != nil {
+			t.Errorf("tenant %d: %v", i, err)
+		}
+		if st.LiveRenamedBytes != 0 {
+			t.Errorf("tenant %d: %d renamed bytes live after drain", i, st.LiveRenamedBytes)
+		}
+		if i == 0 {
+			var ce *core.CanceledError
+			if errs[i] != nil && !errors.As(errs[i], &ce) {
+				t.Errorf("canceled tenant: Barrier returned %v, want *CanceledError or nil", errs[i])
+			}
+			c.Close()
+			continue
+		}
+		if errs[i] != nil {
+			t.Errorf("tenant %d: %v", i, errs[i])
+			continue
+		}
+		if err := c.Close(); err != nil {
+			t.Errorf("tenant %d: Close: %v", i, err)
+		}
+	}
+	if t.Failed() {
+		return
+	}
+	if err := pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestChaosModelPanicIsolation plants one deliberately panicking task
 // inside each hosted programming model — CellSs, SuperMatrix, OpenMP
 // tasks, Cilk and fork-join — all tenants of ONE shared pool, alongside

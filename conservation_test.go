@@ -10,11 +10,10 @@ import (
 
 // The open-task count is derived (submitted - completed) and Stats reads
 // every counter while its writers keep counting.  Two properties must
-// hold, and the chaos, multi-tenant and elastic suites check them on
-// every tenant:
-// after a Barrier the books balance exactly, and a snapshot taken from
-// another goroutine in the middle of a run never shows a counter going
-// backwards.
+// hold, and the chaos and multi-tenant suites check them on every
+// tenant: after a Barrier the books balance exactly, and a snapshot
+// taken from another goroutine in the middle of a run never shows a
+// counter going backwards.
 
 // statsConserved checks a context's books after a Barrier.  Every
 // submitted task was run or skipped-and-counted; every task entered the

@@ -269,7 +269,6 @@ var Registry = map[string]func(Config) *Result{
 	"ablation-sched":       AblationScheduler,
 	"ablation-regions":     AblationRegions,
 	"ablation-throttle":    AblationThrottle,
-	"ablation-elastic":     AblationElastic,
 	"ext-models":           ExtModels,
 	"ext-qr":               ExtQR,
 	"ext-sparselu":         ExtSparseLU,

@@ -8,8 +8,6 @@ import (
 	"repro/internal/deps"
 	"repro/internal/graph"
 	"repro/internal/sched"
-	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 // DefaultMaxContexts is the context-slot count applied when
@@ -30,32 +28,6 @@ type PoolConfig struct {
 	// space).  Zero selects DefaultMaxContexts.  Slots are recycled as
 	// contexts close.
 	MaxContexts int
-
-	// MinWorkers and MaxWorkers enable elastic scaling: the dedicated
-	// team grows toward MaxWorkers under sustained queue depth and
-	// shrinks toward MinWorkers past an idle hysteresis window, by
-	// parking and retiring pre-allocated worker slots (the identity
-	// space stays MaxContexts + MaxWorkers throughout).  Both zero —
-	// the zero value — or MinWorkers == MaxWorkers keeps the fixed-size
-	// pool, with no controller and no scaling machinery constructed.
-	// When set, Workers must be zero or equal MaxWorkers; MaxWorkers
-	// zero with MinWorkers set selects one per core, MinWorkers zero
-	// with MaxWorkers set selects a floor of one.
-	MinWorkers int
-	MaxWorkers int
-	// ScaleInterval is the elastic controller's load-sampling period;
-	// zero selects a default (500µs).  Ignored on a fixed-size pool.
-	ScaleInterval time.Duration
-	// Topology makes stealing hierarchical: workers steal from victims
-	// in their own topology group before probing remote groups, and
-	// affinity hints to a retired worker fall back to its group.  Build
-	// one with topo.Split (synthetic, for tests and known layouts) or
-	// topo.Detect (host sysfs).  nil — the zero value — is the flat
-	// machine with the unchanged creation-order steal scan.
-	Topology *topo.Topology
-	// Tracer, when non-nil, receives pool-level grow/shrink events
-	// (contexts carry their own tracers for task events).
-	Tracer *trace.Tracer
 }
 
 // PoolStats is a snapshot of pool-level activity.  Per-context counters
@@ -70,13 +42,6 @@ type PoolStats struct {
 	// FreeBytes is the renamed storage idling on the shared recycling
 	// store's free lists, available to any context's next rename.
 	FreeBytes int64
-	// Grows and Shrinks count the elastic controller's scaling actions
-	// (zero on a fixed-size pool).
-	Grows, Shrinks int64
-	// ActiveWorkers is the current dedicated team size;
-	// ActiveWorkersHigh and ActiveWorkersLow are its lifetime
-	// watermarks.  On a fixed-size pool all three equal Workers.
-	ActiveWorkers, ActiveWorkersHigh, ActiveWorkersLow int
 }
 
 // Pool is the shared execution substrate of the multi-tenant runtime:
@@ -112,28 +77,6 @@ type Pool struct {
 	// draining refuses new tenants while Drain waits out the old ones.
 	draining atomic.Bool
 	wg       sync.WaitGroup
-
-	// Elastic scaling machinery (see elastic.go); all nil/zero on a
-	// fixed-size pool.
-	elastic bool
-	// active is the live-worker set the locality policies consult; nil
-	// on a fixed pool (every worker permanently active).
-	active *sched.ActiveSet
-	// scaleMu serializes grow/shrink/retire state transitions.
-	scaleMu sync.Mutex
-	// state[w] is the scaling state of dedicated slot w (wActive /
-	// wRetiring / wRetired); submitter slots stay wActive forever.
-	state []atomic.Int32
-	// retireCh[w] parks retired worker w (buffered one token: grow and
-	// close deliver, the worker consumes).
-	retireCh      []chan struct{}
-	activeWorkers atomic.Int32
-	activeHigh    atomic.Int32
-	activeLow     atomic.Int32
-	grows         atomic.Int64
-	shrinks       atomic.Int64
-	scaleStop     chan struct{}
-	scaleDone     chan struct{}
 }
 
 // NewPool creates and starts a shared worker pool.  The caller must
@@ -162,32 +105,15 @@ func newPool(cfg PoolConfig) *Pool {
 	}
 	p.locals = make([][]any, p.slots)
 	p.mux = sched.NewTokenMux(p.slots)
-	if cfg.MaxWorkers > cfg.MinWorkers {
-		p.initElastic()
-	}
 	for w := cfg.MaxContexts; w < p.slots; w++ {
 		p.wg.Add(1)
 		go p.workerLoop(w)
 	}
-	if p.elastic {
-		go p.scaleLoop()
-	}
 	return p
 }
 
-// Workers returns the number of dedicated worker identities (the
-// identity-space size; on an elastic pool this is MaxWorkers, whatever
-// the current team size — see ActiveWorkers).
+// Workers returns the number of dedicated workers.
 func (p *Pool) Workers() int { return p.cfg.Workers }
-
-// ActiveWorkers returns the current dedicated team size: Workers on a
-// fixed pool, the elastic controller's gauge otherwise.
-func (p *Pool) ActiveWorkers() int {
-	if !p.elastic {
-		return p.cfg.Workers
-	}
-	return int(p.activeWorkers.Load())
-}
 
 // MaxContexts returns the pool's context-slot capacity.
 func (p *Pool) MaxContexts() int { return p.cfg.MaxContexts }
@@ -209,24 +135,12 @@ func (p *Pool) Contexts() int {
 // Stats returns a snapshot of the pool-level counters.
 func (p *Pool) Stats() PoolStats {
 	ms := p.mux.Stats()
-	st := PoolStats{
+	return PoolStats{
 		Contexts:  p.Contexts(),
 		Parks:     ms.Parks,
 		Unparks:   ms.Unparks,
 		FreeBytes: p.store.FreeBytes(),
 	}
-	if p.elastic {
-		st.Grows = p.grows.Load()
-		st.Shrinks = p.shrinks.Load()
-		st.ActiveWorkers = int(p.activeWorkers.Load())
-		st.ActiveWorkersHigh = int(p.activeHigh.Load())
-		st.ActiveWorkersLow = int(p.activeLow.Load())
-	} else {
-		st.ActiveWorkers = p.cfg.Workers
-		st.ActiveWorkersHigh = p.cfg.Workers
-		st.ActiveWorkersLow = p.cfg.Workers
-	}
-	return st
 }
 
 // workerLoop is the body of each dedicated worker goroutine: take the
@@ -234,10 +148,6 @@ func (p *Pool) Stats() PoolStats {
 // them — and execute it under its owning context's accounting.
 func (p *Pool) workerLoop(self int) {
 	defer p.wg.Done()
-	if p.elastic {
-		p.workerLoopElastic(self)
-		return
-	}
 	for {
 		n := p.mux.Get(self, nil, nil)
 		if n == nil {
@@ -296,22 +206,6 @@ func (p *Pool) Close() error {
 	p.mu.Unlock()
 	if already {
 		return nil
-	}
-	if p.elastic {
-		// Stop the controller first so no grow/shrink races teardown,
-		// then unpark every retired worker: they sleep on their retire
-		// channels, out of reach of the mux's close-time Kick.  The
-		// buffered token also covers a worker that decided to park but
-		// has not yet.  (A worker mid-finishRetire observes closed under
-		// scaleMu and aborts back to its serve loop instead of parking.)
-		close(p.scaleStop)
-		<-p.scaleDone
-		for w := p.cfg.MaxContexts; w < p.slots; w++ {
-			select {
-			case p.retireCh[w] <- struct{}{}:
-			default:
-			}
-		}
 	}
 	p.mux.Close()
 	p.wg.Wait()
@@ -376,9 +270,6 @@ func (p *Pool) policyFor(kind SchedulerKind) sched.Policy {
 	case SchedGlobalFIFO:
 		return sched.NewGlobalFIFO()
 	default:
-		if p.cfg.Topology != nil || p.active != nil {
-			return sched.NewLocalitySharedElastic(p.slots, p.cfg.MaxContexts, p.cfg.Topology, p.active)
-		}
 		return sched.NewLocalityShared(p.slots, p.cfg.MaxContexts)
 	}
 }

@@ -63,10 +63,9 @@ type classBucket struct {
 type Storage struct {
 	classes sync.Map // classKey -> *classBucket
 
-	// maxFree is the per-class free-list bound in bytes.  Atomic because
-	// the elastic pool rescales it as workers retire and unretire while
-	// releases are in flight.
-	maxFree atomic.Int64
+	// maxFree is the per-class free-list bound in bytes, fixed at
+	// construction.
+	maxFree int64
 
 	releases, drops atomic.Int64
 	freeBytes       atomic.Int64
@@ -82,44 +81,7 @@ func NewStorageShared(tenants int) *Storage {
 	if tenants < 1 {
 		tenants = 1
 	}
-	s := &Storage{}
-	s.maxFree.Store(int64(tenants) * freeBytesPerClass)
-	return s
-}
-
-// Rescale adjusts the per-class free-list bound to units tenants' worth
-// of capacity and trims every bucket now over the bound, dropping the
-// excess to the garbage collector.  The elastic pool calls it as
-// workers retire and unretire, so a shrunken team does not keep pinning
-// the free-list headroom the full team deserved; a fixed-size pool
-// never calls it.
-func (s *Storage) Rescale(units int) {
-	if units < 1 {
-		units = 1
-	}
-	bound := int64(units) * freeBytesPerClass
-	s.maxFree.Store(bound)
-	s.classes.Range(func(_, v any) bool {
-		b := v.(*classBucket)
-		var dropped, bytes int64
-		b.mu.Lock()
-		for n := len(b.free); n > 0; n-- {
-			sz := dataid.Of(b.free[n-1]).Bytes()
-			if fits(n, sz, bound) {
-				break
-			}
-			b.free[n-1] = nil
-			b.free = b.free[:n-1]
-			bytes += sz
-			dropped++
-		}
-		b.mu.Unlock()
-		if dropped > 0 {
-			s.drops.Add(dropped)
-			s.freeBytes.Add(-bytes)
-		}
-		return true
-	})
+	return &Storage{maxFree: int64(tenants) * freeBytesPerClass}
 }
 
 // FreeBytes returns the storage idling on the free lists.
@@ -167,7 +129,7 @@ func (s *Storage) put(key classKey, inst any, bytes int64) {
 	b := s.bucket(key, true)
 	kept := false
 	b.mu.Lock()
-	if fits(len(b.free)+1, bytes, s.maxFree.Load()) {
+	if fits(len(b.free)+1, bytes, s.maxFree) {
 		b.free = append(b.free, inst)
 		kept = true
 	}

@@ -6,12 +6,12 @@ import (
 	"go/types"
 )
 
-// atomicfield enforces the PR 9 Storage.Rescale bug class: a struct
-// field that is accessed through sync/atomic anywhere must be accessed
-// through sync/atomic everywhere.  A single plain read racing the
-// atomic writers is the exact defect Rescale had to retrofit — the
-// race detector only catches it when a test happens to interleave the
-// two sites.
+// atomicfield enforces one bug class: a struct field that is accessed
+// through sync/atomic anywhere must be accessed through sync/atomic
+// everywhere.  A field that starts out set-once and later gains a
+// concurrent atomic writer keeps its old plain reads, and each of them
+// races the new writer; the race detector only catches it when a test
+// happens to interleave the two sites.
 //
 // The analyzer collects, program-wide, every field passed by address
 // to a sync/atomic function, then flags any other selector access to

@@ -263,7 +263,6 @@ func (p *stickyPolicy) TryNext(self int) *graph.Node       { return nil }
 func (p *stickyPolicy) Len() int                           { return int(p.n.Load()) }
 func (p *stickyPolicy) Stats() Stats                       { return Stats{} }
 func (p *stickyPolicy) HighPending() bool                  { return false }
-func (p *stickyPolicy) Evict(w int) int                    { return 0 }
 
 // TestMultiTenantSelfPushWakes pins the elision boundary: a lone
 // self-push on a dedicated worker's deque skips the wake only while its

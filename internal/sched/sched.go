@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/graph"
-	"repro/internal/topo"
 )
 
 // Stats aggregates scheduler activity, mostly so tests and ablation
@@ -25,11 +24,6 @@ type Stats struct {
 	// StealBatches counts steal operations (each moves up to half the
 	// victim's deque, so Steals/StealBatches is the mean batch size).
 	StealBatches int64
-	// LocalSteals and RemoteSteals split Steals by topology distance:
-	// tasks taken from a victim in the thief's own topology group vs a
-	// remote group.  Both stay zero on a flat (topology-less) pool,
-	// where no distance exists to attribute.
-	LocalSteals, RemoteSteals int64
 	// Spills counts tasks that overflowed a bounded worker deque onto the
 	// injector.
 	Spills int64
@@ -38,9 +32,7 @@ type Stats struct {
 	// locality layer's affinity hints) instead of the shared injector.
 	AffinityPushes int64
 	// AffinityMisses counts affinity-hinted tasks that fell back to the
-	// injector because the hinted deque was full, or — on an elastic
-	// pool — because the hinted worker retired with no active worker
-	// left in its topology group.
+	// injector because the hinted deque was full.
 	AffinityMisses int64
 	// ChainHits counts successors a completing worker ran inline
 	// (successor chaining), bypassing the queues and wake protocol
@@ -77,10 +69,6 @@ type Policy interface {
 	// runtime's successor chaining checks it so an inline chain never
 	// makes a worker skip over a waiting high-priority task.
 	HighPending() bool
-	// Evict spills worker w's per-worker queue back to the shared
-	// injector — a retiring worker must strand no tasks — and returns how
-	// many tasks moved.
-	Evict(w int) int
 }
 
 // Locality is the scheduling policy of paper §III, rebuilt for multi-core
@@ -105,26 +93,9 @@ type Locality struct {
 	// steals stay polite (one task, never a victim's last).
 	helpers int
 
-	// order, when non-nil, replaces the flat creation-order victim scan
-	// with a per-worker topology-aware one: order[self] lists victims
-	// near-first, and the first near[self] entries are same-group.  Both
-	// are precomputed at construction (topology is immutable), so the
-	// steal loop pays only a slice walk.  nil means the flat machine —
-	// the scan is byte-identical to the pre-topology scheduler.
-	order [][]int
-	near  []int
-	topo  *topo.Topology
-	// active, when non-nil, is the elastic pool's live-worker set.
-	// Affinity hints to a retired worker are redirected to an active
-	// worker in the hinted worker's topology group (or dropped to the
-	// injector) so tasks never target a deque nobody will pop.  nil
-	// means every worker is permanently active (a fixed-size pool).
-	active *ActiveSet
-
 	pushHigh, pushOwn, pushMain    atomic.Int64
 	popHigh, popOwn, popMain       atomic.Int64
 	steals, stealBatches           atomic.Int64
-	localSteals, remoteSteals      atomic.Int64
 	spills                         atomic.Int64
 	affinityPushes, affinityMisses atomic.Int64
 	// highLen mirrors high's length, so a lookup that finds it zero —
@@ -152,25 +123,6 @@ func NewLocalityShared(nslots, helpers int) *Locality {
 		helpers = 1
 	}
 	return newLocalityFull(nslots, helpers, defaultDequeCap)
-}
-
-// NewLocalitySharedElastic is NewLocalityShared for an elastic,
-// topology-aware pool: t (may be nil — flat machine) orders steal
-// victims near-first, and active (may be nil — all workers live) guards
-// affinity hints against retired workers.  With both nil the policy is
-// identical to NewLocalityShared.
-func NewLocalitySharedElastic(nslots, helpers int, t *topo.Topology, active *ActiveSet) *Locality {
-	s := NewLocalityShared(nslots, helpers)
-	s.active = active
-	if t != nil {
-		s.topo = t
-		s.order = make([][]int, nslots)
-		s.near = make([]int, nslots)
-		for self := 0; self < nslots; self++ {
-			s.order[self], s.near[self] = t.StealOrder(self, nslots)
-		}
-	}
-	return s
 }
 
 // newLocalityCap is NewLocality with an explicit per-worker deque bound,
@@ -243,15 +195,9 @@ func (s *Locality) Push(n *graph.Node, releasedBy int) bool {
 		// unexplored regions of the graph.
 		if h := n.Affinity(); h >= 0 && h < len(s.deques) &&
 			(h >= s.helpers || len(s.deques) == s.helpers) {
-			// On an elastic pool the hinted worker may have retired since
-			// it wrote the operand; redirect the hint to an active worker
-			// in its topology group — the data plausibly lives in that
-			// group's shared cache — or give up to the injector.
-			if h = s.redirect(h); h >= 0 {
-				if _, ok := s.deques[h].pushBack(n); ok {
-					s.affinityPushes.Add(1)
-					return true
-				}
+			if _, ok := s.deques[h].pushBack(n); ok {
+				s.affinityPushes.Add(1)
+				return true
 			}
 			s.affinityMisses.Add(1)
 		}
@@ -259,24 +205,6 @@ func (s *Locality) Push(n *graph.Node, releasedBy int) bool {
 		s.pushMain.Add(1)
 	}
 	return true
-}
-
-// redirect resolves an affinity hint against the elastic pool's live
-// worker set: the hint itself while the hinted worker is active (always,
-// on a fixed pool), otherwise an active dedicated worker from the hinted
-// worker's topology group, otherwise -1 (no useful target — inject).
-func (s *Locality) redirect(h int) int {
-	if s.active.Active(h) {
-		return h
-	}
-	if s.topo != nil {
-		for _, w := range s.topo.Group(s.topo.GroupOf(h)) {
-			if w != h && w >= s.helpers && w < len(s.deques) && s.active.Active(w) {
-				return w
-			}
-		}
-	}
-	return -1
 }
 
 // TryNext implements the lookup order of paper §III for worker self:
@@ -330,25 +258,6 @@ func (s *Locality) TryNext(self int) *graph.Node {
 	// Fault-injection point: widen the window between "own queues are
 	// empty" and the first victim probe, the classic lost-wake race.
 	chaos.StealDelay(self)
-	if s.order != nil {
-		// Topology-aware scan: same-group victims first (their deques hold
-		// tasks whose data plausibly sits in the shared cache next door),
-		// remote groups only when the whole neighbourhood is dry.
-		near := s.near[self]
-		for i, victim := range s.order[self] {
-			k := s.deques[victim].grabHalf(buf, minSize)
-			if k == 0 {
-				continue
-			}
-			if i < near {
-				s.localSteals.Add(int64(k))
-			} else {
-				s.remoteSteals.Add(int64(k))
-			}
-			return s.finishSteal(self, buf, k)
-		}
-		return nil
-	}
 	for i := 1; i < len(s.deques); i++ {
 		victim := (self + i) % len(s.deques)
 		k := s.deques[victim].grabHalf(buf, minSize)
@@ -400,8 +309,6 @@ func (s *Locality) Stats() Stats {
 		PopMain:        s.popMain.Load(),
 		Steals:         s.steals.Load(),
 		StealBatches:   s.stealBatches.Load(),
-		LocalSteals:    s.localSteals.Load(),
-		RemoteSteals:   s.remoteSteals.Load(),
 		Spills:         s.spills.Load(),
 		AffinityPushes: s.affinityPushes.Load(),
 		AffinityMisses: s.affinityMisses.Load(),

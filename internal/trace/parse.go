@@ -92,12 +92,6 @@ func ParsePRV(r io.Reader, labels map[int]string) (*Tracer, error) {
 			ev.Type = EvCanceled
 			ev.Kind = int(val - 1)
 			ev.Label = labelFor(labels, ev.Kind)
-		case prvGrow:
-			ev.Type = EvGrow
-			ev.Kind = int(val) // new active team size, not a task kind
-		case prvShrink:
-			ev.Type = EvShrink
-			ev.Kind = int(val)
 		default:
 			continue // foreign event type
 		}

@@ -97,6 +97,35 @@ func TestParsePRVSkipsForeignRecords(t *testing.T) {
 	}
 }
 
+// TestParsePRVSkipsRetiredScalingRecords: traces written while the pool
+// still had elastic sizing carry pool grow/shrink records (event types
+// 90000009 and 90000010, value = team size).  They must load as
+// foreign records: skipped, with every task event around them kept.
+func TestParsePRVSkipsRetiredScalingRecords(t *testing.T) {
+	src := "#Paraver (x):1_ns:1(3):1:1(3:1)\n" +
+		"2:1:1:1:1:10:90000004:1\n" + // create
+		"2:3:1:1:3:20:90000009:2\n" + // pool grow: skipped
+		"2:3:1:1:3:30:90000001:1\n" + // start
+		"2:3:1:1:3:40:90000002:1\n" + // rename
+		"2:3:1:1:3:50:90000001:0\n" + // end
+		"2:3:1:1:3:60:90000010:1\n" // pool shrink: skipped
+	back, err := ParsePRV(strings.NewReader(src), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []EventType
+	for _, ev := range back.Events() {
+		got = append(got, ev.Type)
+	}
+	want := []EventType{EvCreate, EvStart, EvRename, EvEnd}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("parsed events %v, want %v", got, want)
+	}
+	if sum := back.Summarize(); sum.Created != 1 || sum.Renames != 1 || len(sum.Kinds) != 1 || sum.Kinds[0].Count != 1 {
+		t.Fatalf("summary = %+v, want one created, renamed and completed task", sum)
+	}
+}
+
 // FuzzParsePRV: ParsePRV never panics, and for input it accepts
 // WritePRV∘ParsePRV is a fixed point — what WritePRV writes parses back
 // and writes out byte-identical.

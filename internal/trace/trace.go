@@ -52,12 +52,6 @@ const (
 	// cancellation (Cancel, Deadline, or pool Drain); like EvPoisoned
 	// it has no EvStart/EvEnd bracket.
 	EvCanceled
-	// EvGrow marks the elastic pool unparking a retired worker slot.
-	// Worker is the grown slot; Kind carries the new active team size.
-	EvGrow
-	// EvShrink marks the elastic pool retiring a worker slot.  Worker
-	// is the retired slot; Kind carries the new active team size.
-	EvShrink
 )
 
 // String returns a short name for the event type.
@@ -83,10 +77,6 @@ func (e EventType) String() string {
 		return "poisoned"
 	case EvCanceled:
 		return "canceled"
-	case EvGrow:
-		return "grow"
-	case EvShrink:
-		return "shrink"
 	}
 	return fmt.Sprintf("event(%d)", uint8(e))
 }
@@ -200,8 +190,6 @@ const (
 	prvFail     = 90000006 // value = task kind + 1 of the failed task
 	prvPoisoned = 90000007 // value = task kind + 1 of the skipped task
 	prvCanceled = 90000008 // value = task kind + 1 of the skipped task
-	prvGrow     = 90000009 // value = new active team size
-	prvShrink   = 90000010 // value = new active team size
 )
 
 // WritePRV exports the trace in Paraver .prv format: a header line
@@ -263,10 +251,6 @@ func (t *Tracer) WritePRV(w io.Writer) error {
 			typ, val = prvPoisoned, int64(ev.Kind)+1
 		case EvCanceled:
 			typ, val = prvCanceled, int64(ev.Kind)+1
-		case EvGrow:
-			typ, val = prvGrow, int64(ev.Kind)
-		case EvShrink:
-			typ, val = prvShrink, int64(ev.Kind)
 		}
 		// cpu, appl, task are 1-based; the task field carries the runtime
 		// context (ctx+1) so a shared tracer's tenants stay separable in
@@ -309,8 +293,6 @@ func (t *Tracer) WritePCF(w io.Writer) error {
 	fmt.Fprintf(&b, "EVENT_TYPE\n0    %d    Task failure\n\n", prvFail)
 	fmt.Fprintf(&b, "EVENT_TYPE\n0    %d    Poisoned skip\n\n", prvPoisoned)
 	fmt.Fprintf(&b, "EVENT_TYPE\n0    %d    Canceled skip\n\n", prvCanceled)
-	fmt.Fprintf(&b, "EVENT_TYPE\n0    %d    Pool grow (value = active workers)\n\n", prvGrow)
-	fmt.Fprintf(&b, "EVENT_TYPE\n0    %d    Pool shrink (value = active workers)\n\n", prvShrink)
 	_, err := io.WriteString(w, b.String())
 	return err
 }
@@ -374,10 +356,6 @@ type Summary struct {
 	// Canceled is the number of tasks drained as skips by their
 	// context's cancellation.
 	Canceled int
-	// Grows and Shrinks count the elastic pool's scaling actions:
-	// retired worker slots unparked and active workers retired.  Both
-	// are zero for a fixed-size pool's trace.
-	Grows, Shrinks int
 	// Truncated is the number of task starts with no matching end — a
 	// context that closed mid-trace, or a trace snapshotted while tasks
 	// were executing.  Instead of silently unbalancing later pairings
@@ -464,10 +442,6 @@ func (t *Tracer) Summarize() Summary {
 			s.Poisoned++
 		case EvCanceled:
 			s.Canceled++
-		case EvGrow:
-			s.Grows++
-		case EvShrink:
-			s.Shrinks++
 		}
 	}
 	// Whatever is still open at the end of the trace never terminated.
@@ -505,9 +479,6 @@ func (s Summary) Format(w io.Writer) {
 	}
 	if s.Canceled > 0 {
 		fmt.Fprintf(w, ", canceled: %d", s.Canceled)
-	}
-	if s.Grows > 0 || s.Shrinks > 0 {
-		fmt.Fprintf(w, ", grows: %d, shrinks: %d", s.Grows, s.Shrinks)
 	}
 	if s.Truncated > 0 {
 		fmt.Fprintf(w, ", truncated: %d", s.Truncated)

@@ -396,58 +396,6 @@ func TestFailureEventsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestScalingEventsRoundTrip(t *testing.T) {
-	tr := New()
-	tr.EmitCtx(0, 9, EvGrow, 3, "", 9)   // slot 9 joins, team now 3
-	tr.EmitCtx(0, 10, EvGrow, 4, "", 10) // slot 10 joins, team now 4
-	tr.EmitCtx(0, 10, EvShrink, 3, "", 10)
-	sum := tr.Summarize()
-	if sum.Grows != 2 || sum.Shrinks != 1 {
-		t.Fatalf("summary = grows %d shrinks %d, want 2/1", sum.Grows, sum.Shrinks)
-	}
-	var rep strings.Builder
-	sum.Format(&rep)
-	for _, want := range []string{"grows: 2", "shrinks: 1"} {
-		if !strings.Contains(rep.String(), want) {
-			t.Fatalf("summary report missing %q:\n%s", want, rep.String())
-		}
-	}
-
-	var prv strings.Builder
-	if err := tr.WritePRV(&prv); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParsePRV(strings.NewReader(prv.String()), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sizes []int
-	for _, ev := range back.Events() {
-		switch ev.Type {
-		case EvGrow, EvShrink:
-			// Kind carries the new active team size, not a task kind.
-			sizes = append(sizes, ev.Kind)
-		}
-	}
-	if len(sizes) != 3 || sizes[0] != 3 || sizes[1] != 4 || sizes[2] != 3 {
-		t.Fatalf("round-trip team sizes = %v, want [3 4 3]", sizes)
-	}
-	bsum := back.Summarize()
-	if bsum.Grows != 2 || bsum.Shrinks != 1 {
-		t.Fatalf("round-trip summary = grows %d shrinks %d", bsum.Grows, bsum.Shrinks)
-	}
-
-	var pcf strings.Builder
-	if err := tr.WritePCF(&pcf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"Pool grow", "Pool shrink"} {
-		if !strings.Contains(pcf.String(), want) {
-			t.Fatalf("PCF missing %q", want)
-		}
-	}
-}
-
 func TestSummarizeBarrierWait(t *testing.T) {
 	tr := New()
 	tr.Emit(0, EvBarrier, -1, "", 0)
