@@ -287,6 +287,33 @@ func TestNQueensSMPSs(t *testing.T) {
 	}
 }
 
+// TestNQueensSMPSsForgetsCells: every run writes one fresh cell per tail
+// task, and a long-lived context must not keep a tracker object — and
+// through it the cell — per cell it ever saw.  One thread, so that every
+// run renames as many boards as the last and the rename pool's free list
+// does not move the heap.
+func TestNQueensSMPSsForgetsCells(t *testing.T) {
+	rt := core.New(core.Config{Workers: 1})
+	defer rt.Close()
+	heapAfterRun := func() uint64 {
+		if got, err := NQueensSMPSs(rt.Context(), 9); err != nil || got != 352 {
+			t.Fatalf("NQueensSMPSs(9) = %d, %v; want 352", got, err)
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	first := heapAfterRun()
+	var last uint64
+	for i := 1; i < 20; i++ {
+		last = heapAfterRun()
+	}
+	if grown := int64(last) - int64(first); grown > 256<<10 {
+		t.Fatalf("19 further runs on one context retained %d KiB of heap", grown>>10)
+	}
+}
+
 func TestNQueensSMPSsLargerBoard(t *testing.T) {
 	rt := core.New(core.Config{Workers: 8})
 	defer rt.Close()

@@ -199,15 +199,20 @@ func NQueensSMPSs(ctx *core.Context, n int) (int64, error) {
 		}
 	}
 	explore(0)
-	if err := ctx.Barrier(); err != nil {
+	err := ctx.Barrier()
+	// The cells die with this call; without this the context would keep
+	// a tracker object per cell forever, and every later Barrier would
+	// walk them all.
+	var total int64
+	for _, c := range cells {
+		total += c[0]
+		ctx.Forget(c)
+	}
+	if err != nil {
 		return 0, err
 	}
 	if sub.err != nil {
 		return 0, sub.err
-	}
-	var total int64
-	for _, c := range cells {
-		total += c[0]
 	}
 	return total, nil
 }

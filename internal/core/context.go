@@ -12,6 +12,7 @@ import (
 	"repro/internal/dataid"
 	"repro/internal/deps"
 	"repro/internal/graph"
+	"repro/internal/recycle"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -162,7 +163,7 @@ type Context struct {
 
 	// recs recycles task records: exec frees, submitOne reuses.  Its Get
 	// side closes the submitter's group, its Put side opens the workers'.
-	recs deps.FreeList[taskRec]
+	recs recycle.FreeList[taskRec]
 
 	// Written by whichever thread executes one of the context's tasks.
 	//
@@ -462,7 +463,7 @@ func (c *Context) newRec(def *TaskDef, nargs int) *taskRec {
 	if rec == nil {
 		rec = &taskRec{ctx: c}
 		rec.args = rec.arg0[:0]
-		rec.node.Reserve(rec.succ0[:], rec.hold0[:])
+		rec.node.Reserve(&rec.room)
 	}
 	rec.def = def
 	if nargs <= cap(rec.args) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/dataid"
 	"repro/internal/graph"
 )
 
@@ -40,12 +41,14 @@ func submitOK(t *testing.T, c *Context, def *TaskDef, args ...Arg) {
 // the measured Submits reuse exactly what the warm-up freed.
 func TestSubmitAllocatesNothing(t *testing.T) {
 	const warm, runs = 48, 32 // < the rename pool's per-class bound
+	const wide = 192          // rename_churn's gate: 64 buffers × 3 readers
 	x := make([]float32, 64)
 	y := make([]float32, 64)
 	z := make([]float32, 64)
 	type cell struct{ v, w int64 }
 	p := new(cell)
 	big, frac := 1<<40, 2.5
+	turn := 0 // counts the runs of the alternating case
 	cases := []struct {
 		name  string
 		run   func(t *testing.T, c *Context) // the task sequence of one run
@@ -80,6 +83,25 @@ func TestSubmitAllocatesNothing(t *testing.T) {
 				}
 			},
 		},
+		{
+			// A writer with 192 pending readers, every other run: its
+			// successor list and its version's reader list outgrow their
+			// room.  Records and versions come off the free lists in no
+			// particular order, so a narrow run's record or version
+			// takes the wide role next; the lists' storage must come
+			// from the store, not from what the record last held.
+			name: "out+192-in-alternating",
+			run: func(t *testing.T, c *Context) {
+				n := 1
+				if turn++; turn%2 == 1 {
+					n = wide
+				}
+				submitOK(t, c, nopDef, Out(x))
+				for i := 0; i < n; i++ {
+					submitOK(t, c, nopDef, In(x))
+				}
+			},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -107,6 +129,28 @@ func TestSubmitAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestForgetAllocatesNothing: the slice a program hands Forget is boxed
+// at the call site, and the box stays on the caller's stack only if
+// nothing behind Forget keeps it, so forgetting a temporary per task
+// (N-Queens' cells) costs no allocation.
+func TestForgetAllocatesNothing(t *testing.T) {
+	rt := New(Config{Workers: 1})
+	defer rt.Close()
+	c := rt.Context()
+	cell := make([]int64, 1)
+	submitOK(t, c, nopDef, Out(cell))
+	if err := c.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	forget := func() { c.Forget(cell) } // the first run drops the object
+	if n := testing.AllocsPerRun(32, forget); n != 0 {
+		t.Fatalf("Forget allocates %v times, want 0", n)
+	}
+	if _, tracked := c.tr.CurrentInstance(dataid.Key(cell)).([]int64); tracked {
+		t.Fatalf("Forget left the object tracked")
+	}
+}
+
 // TestArgSize: an Arg is copied into every Submit's argument list, and
 // PR 14 measured what a 96-byte one costs cholesky_tiles.
 func TestArgSize(t *testing.T) {
@@ -118,14 +162,14 @@ func TestArgSize(t *testing.T) {
 // TestRegionSubmitAllocatesNothing is TestSubmitAllocatesNothing for the
 // array-region path: regions are values, the region history files an
 // access in lists that earlier accesses grew, and a WaitOnRegion that
-// finds no pending writer builds nothing.  Each task has a leaf of its
-// own, as multisort's have, so no edge is added (in region mode a task
-// is ordered after every live overlapping access, and successor lists
-// are not what this test pins).  The warm-up goes over the leaves twice,
-// as the second access of a leaf may still find the first one's entry
-// and grow the list, and submits more tasks at once than the measurement
-// does, so the history has swept with more live entries than the
-// measured sweeps meet.
+// finds no pending writer builds nothing.  In the first three cases each
+// task has a leaf of its own, as multisort's have, so no edge is added;
+// in the fan-out case a task over the whole array heads every sweep and
+// the leaves' readers are its successors, which outgrow its room.  The
+// warm-up goes over the leaves twice, as the second access of a leaf may
+// still find the first one's entry and grow the list, and submits more
+// tasks at once than the measurement does, so the history has swept with
+// more live entries than the measured sweeps meet.
 func TestRegionSubmitAllocatesNothing(t *testing.T) {
 	const warm, runs, leaf = 128, 32, 16
 	src := make([]int64, warm*leaf)
@@ -143,6 +187,15 @@ func TestRegionSubmitAllocatesNothing(t *testing.T) {
 		}},
 		{"rect", func(t *testing.T, c *Context, lo int64) {
 			submitOK(t, c, nopDef, InOutR(mat, Rect(lo/leaf, lo/leaf, 0, leaf-1)))
+		}},
+		{"fanout", func(t *testing.T, c *Context, lo int64) {
+			// A writer over the whole array, then readers of 32 leaves:
+			// each reader and the next writer are successors of the
+			// writer, 33 of them against its room of two.
+			submitOK(t, c, nopDef, InOutR(src, Span(0, warm*leaf)))
+			for k := int64(0); k < 32; k++ {
+				submitOK(t, c, nopDef, InR(src, Span((lo+k*leaf)%(warm*leaf), leaf)))
+			}
 		}},
 	}
 	for _, tc := range cases {

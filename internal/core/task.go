@@ -82,9 +82,8 @@ type taskRec struct {
 	args []boundArg
 	// body is what the task body receives; it lives here because the
 	// pointer handed to TaskDef.Fn escapes.
-	body  Args
-	succ0 [2]*graph.Node
-	hold0 [3]graph.Holder
+	body Args
+	room graph.Room
 }
 
 // Args gives a task body access to its effective parameters.  Renaming

@@ -92,7 +92,7 @@ func Of(data any) Ref {
 			return Ref{typ: typeWord(data), p: dataWord(data), n: ptrLen}
 		}
 	}
-	panic(fmt.Sprintf("dataid: data argument must be a slice or pointer, got %T", data))
+	panic(fmt.Sprintf("dataid: data argument must be a slice or pointer, got %v", reflect.TypeOf(data)))
 }
 
 // Split takes an arbitrary value apart into the two pointer words of a

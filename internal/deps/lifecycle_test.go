@@ -321,7 +321,11 @@ func TestVersionDiesExactlyOnce(t *testing.T) {
 	}
 	// Each death put the version on the free list once, and each round
 	// took it from there again.
-	if n := len(tr.versions.ready) + len(tr.versions.freed); n != 1 {
+	n := 0
+	for tr.versions.Get() != nil {
+		n++
+	}
+	if n != 1 {
 		t.Fatalf("free list holds %d versions after %d rounds of one", n, rounds)
 	}
 }

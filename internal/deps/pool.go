@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cacheline"
 	"repro/internal/chaos"
 	"repro/internal/dataid"
 )
@@ -275,62 +274,4 @@ func (p *Pool) forfeit(bytes int64) {
 	if p.onReclaim != nil {
 		p.onReclaim()
 	}
-}
-
-// maxFreeRecords bounds each side of a FreeList.  A list only ever
-// receives what its owner allocated when the list was empty, so it holds
-// at most the owner's high-water mark of simultaneously live records;
-// the bound keeps a program that once opened a far larger graph than the
-// default limit from pinning that peak forever.
-const maxFreeRecords = 1 << 15
-
-// FreeList recycles the fixed-size bookkeeping records of the submission
-// path — the tracker's versions, the runtime's task records — the way
-// Storage recycles renamed instances: it starts empty, grows only by
-// what is put back, and drops to the garbage collector past its bound.
-// Unlike a sync.Pool it survives garbage collections, so a steady
-// submission loop allocates nothing.
-//
-// Records are freed by workers and reused by the submitter, so the list
-// has two sides, a line of padding apart.  Put pushes onto a mutex-guarded
-// stack.  Get belongs to one thread, the single submitter, and pops a
-// private batch, taking the lock only to swap an exhausted batch for
-// everything freed meanwhile.  The trailing padding keeps the Put side
-// off whatever the enclosing struct, or the heap, puts next.  The zero
-// value is ready to use.
-type FreeList[T any] struct {
-	ready []*T //smpss:writer=submitter
-
-	_ cacheline.Pad
-
-	mu    sync.Mutex //smpss:writer=worker
-	freed []*T       //smpss:writer=worker
-
-	_ cacheline.Pad
-}
-
-// Get removes and returns a freed record, or nil.
-func (f *FreeList[T]) Get() *T {
-	n := len(f.ready)
-	if n == 0 {
-		f.mu.Lock()
-		f.ready, f.freed = f.freed, f.ready
-		f.mu.Unlock()
-		if n = len(f.ready); n == 0 {
-			return nil
-		}
-	}
-	x := f.ready[n-1]
-	f.ready[n-1] = nil
-	f.ready = f.ready[:n-1]
-	return x
-}
-
-// Put frees x, which nothing may reference any more.
-func (f *FreeList[T]) Put(x *T) {
-	f.mu.Lock()
-	if len(f.freed) < maxFreeRecords {
-		f.freed = append(f.freed, x)
-	}
-	f.mu.Unlock()
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cacheline"
 	"repro/internal/dataid"
 	"repro/internal/graph"
+	"repro/internal/recycle"
 )
 
 // Mode is the directionality of a task parameter (paper §II): whether the
@@ -120,7 +121,8 @@ type version struct {
 	poisoned   bool  // the producer completed poisoned: readers run on garbage
 	// readers are tasks reading this version.  The list is needed only
 	// to materialize WAR edges (DisableRenaming) and to seed a region
-	// flip; hazard detection uses the reader count.
+	// flip; hazard detection uses the reader count.  It starts in read0
+	// and spills into the tracker's store (Tracker.readers).
 	readers []graph.Ref
 	// instance is the effective storage of this version.
 	instance any
@@ -137,6 +139,10 @@ type version struct {
 	// them — the O(1) hazard probe that replaces the seed's lazy Done()
 	// scan over the reader list.
 	counts atomic.Int64
+
+	// read0 is the inline room of readers: a version whose list never
+	// holds more than four readers never touches the store.
+	read0 [4]graph.Ref
 }
 
 // What one holder adds to version.counts.
@@ -164,6 +170,7 @@ func (t *Tracker) newVersion(producer *graph.Node, instance any) *version {
 	v := t.versions.Get()
 	if v == nil {
 		v = &version{t: t}
+		v.readers = v.read0[:0]
 	}
 	v.instance = instance
 	if producer == nil {
@@ -233,15 +240,16 @@ func (v *version) release(held int64) {
 
 // die runs exactly once per version, on whichever thread drops its last
 // reference — which only a retired version has.  Nothing can reach the
-// version any more: owned storage returns to the pool and the version,
-// emptied so it pins no data, to the free list.
+// version any more: owned storage returns to the pool, a spilled reader
+// list to the store, and the version, emptied so it pins no data, to the
+// free list.
 func (v *version) die() {
 	t := v.t
 	if v.owned {
 		t.pool.release(v.instance, v.bytes)
 	}
-	clear(v.readers)
-	*v = version{t: t, readers: v.readers[:0]}
+	t.readers.Free(v.readers, nil)
+	*v = version{t: t, readers: v.read0[:0]}
 	t.versions.Put(v)
 }
 
@@ -351,9 +359,9 @@ func (c *counters) add(d *Stats) {
 // PendingWriters, CurrentInstance, SyncObject, SyncAll and Forget are that
 // thread's alone and take no lock.  Other goroutines reach the tracker
 // two ways: a completing worker through the versions its task held
-// (their counts, the Put side of the free list, the pool), and anyone
-// through the snapshot calls Stats, PoolStats and LiveRenamedBytes, which
-// read atomics.
+// (their counts, the Put sides of the free list and the reader store,
+// the pool), and anyone through the snapshot calls Stats, PoolStats and
+// LiveRenamedBytes, which read atomics.
 type Tracker struct {
 	g *graph.Graph //smpss:writer=shared
 
@@ -374,10 +382,13 @@ type Tracker struct {
 
 	objects map[uintptr]*object //smpss:writer=submitter
 	stats   counters            //smpss:writer=submitter
+	// readers is the store reader lists spill into: analyzeIn takes,
+	// a version's death gives back.  Each class pads its own sides.
+	readers recycle.Spill[graph.Ref]
 	// versions recycles dead versions: Get is the owner's, Put comes from
 	// whichever thread drops a last reference.  Its Get side closes the
 	// owner's group, its Put side opens the workers'.
-	versions FreeList[version]
+	versions recycle.FreeList[version]
 
 	pool Pool //smpss:writer=worker
 
@@ -525,7 +536,7 @@ func (t *Tracker) analyzeIn(d *Stats, node *graph.Node, obj *object) Resolution 
 	if len(v.readers) == cap(v.readers) {
 		v.pruneReaders()
 	}
-	v.readers = append(v.readers, node.Ref())
+	v.readers = t.readers.Append(v.readers, node.Ref())
 	v.counts.Add(oneReader)
 	node.AddHold((*readerHold)(v))
 	return Resolution{Instance: v.instance}
@@ -668,8 +679,7 @@ func (t *Tracker) flipToRegioned(d *Stats, obj *object) {
 	for _, r := range v.readers {
 		obj.hist.insert(regionEntry{region: Full, task: r})
 	}
-	clear(v.readers)
-	v.readers = v.readers[:0]
+	v.readers = t.readers.Free(v.readers, v.read0[:0])
 	// Region mode keeps no per-access reference counts (renaming of
 	// partial objects is out of scope, exactly as in the 2008 runtime),
 	// so a diverged current version's storage cannot be recycled safely:

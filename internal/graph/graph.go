@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cacheline"
+	"repro/internal/recycle"
 )
 
 // NodeState enumerates the lifecycle of a task node.
@@ -111,11 +112,22 @@ type Node struct {
 	// node becomes ready.
 	affinity int32
 
-	mu    sync.Mutex
+	mu sync.Mutex
+	// succs starts in the room Reserve gave and spills into the graph's
+	// store (Graph.spill), which gets it back when the node completes.
 	succs []*Node
 	// holds are the references registered with AddHold, released exactly
 	// once by Complete.
 	holds []Holder
+	// room is the inline storage Reserve gave, or nil.
+	room *Room
+}
+
+// Room is inline storage for a node's first successors and holds, which
+// its owner allocates beside the node (see Reserve).
+type Room struct {
+	succs [2]*Node
+	holds [3]Holder
 }
 
 const (
@@ -208,12 +220,14 @@ func (n *Node) MarkPoisoned() { n.state.Or(poisonBit) }
 func (n *Node) Poisoned() bool { return n.state.Load()&poisonBit != 0 }
 
 // Reserve gives a zero node room for its first successors and holds in
-// storage the caller owns — arrays allocated beside the node — so a task
-// with few of either allocates nothing for them.  A list that outgrows
-// its room spills to the heap; either way the node keeps what backs its
-// lists across Init.
-func (n *Node) Reserve(succs []*Node, holds []Holder) {
-	n.succs, n.holds = succs[:0], holds[:0]
+// storage the caller owns, allocated beside the node, so that a task
+// with few of either touches no other memory for them.  A successor list
+// that outgrows its room spills into the graph's store and returns to
+// the room when the node completes; a hold list spills to the heap and
+// keeps what backs it across Init.
+func (n *Node) Reserve(r *Room) {
+	n.room = r
+	n.succs, n.holds = r.succs[:0], r.holds[:0]
 }
 
 // AddHold registers a reference the node keeps until it completes:
@@ -229,9 +243,10 @@ func (n *Node) AddHold(h Holder) { n.holds = append(n.holds, h) }
 //
 // The submitting (main) thread adds nodes and edges; worker threads
 // complete nodes concurrently.  All cross-thread coordination happens via
-// per-node atomics plus a short critical section per edge endpoint; the
-// graph itself holds nothing a completion writes, so workers only read
-// its first line and the submitter owns the second.
+// per-node atomics plus a short critical section per edge endpoint.  Of
+// the graph itself workers read the first line, the submitter owns the
+// second, and a completion writes only the store a spilled successor
+// list returns to.
 type Graph struct {
 	readyCB func(n *Node, releasedBy int) //smpss:writer=shared
 	// rec is nil unless a Recorder is attached, so Init and AddEdge pay
@@ -241,8 +256,9 @@ type Graph struct {
 	_ cacheline.Pad
 
 	nextID atomic.Int64 //smpss:writer=submitter
-
-	_ cacheline.Pad
+	// spill is the store successor lists outgrowing their room move to:
+	// AddEdge takes, complete gives back.  Each class pads its own sides.
+	spill recycle.Spill[*Node]
 }
 
 // New creates a graph.  ready is invoked exactly once per node when its
@@ -307,7 +323,7 @@ func (g *Graph) AddEdge(from, to *Node) {
 		}
 		return
 	}
-	from.succs = append(from.succs, to)
+	from.succs = g.spill.Append(from.succs, to)
 	from.mu.Unlock()
 	// From here a concurrent Complete(from) may decrement to.pending at
 	// any moment, to below zero until Seal.
@@ -399,8 +415,11 @@ func (g *Graph) complete(n *Node, worker int, chain bool) *Node {
 	if kept != nil {
 		kept.setState(StateReady)
 	}
-	clear(succs)
-	n.succs = succs[:0]
+	var room []*Node
+	if n.room != nil {
+		room = n.room.succs[:]
+	}
+	n.succs = g.spill.Free(succs, room)
 	// Holds drop after successors are released: dependents launch
 	// first, memory bookkeeping second.
 	for _, h := range n.holds {

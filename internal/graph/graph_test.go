@@ -364,9 +364,8 @@ func TestHoldsReleasedOnceAfterSuccessors(t *testing.T) {
 func TestInitStartsNewLife(t *testing.T) {
 	g, log := collectReady()
 	var n Node
-	var succ0 [1]*Node
-	var hold0 [1]Holder
-	n.Reserve(succ0[:], hold0[:])
+	var room Room
+	n.Reserve(&room)
 	h := &holdLog{}
 	g.Init(&n, 1, "first", false, nil)
 	first := n.Ref()
@@ -374,8 +373,8 @@ func TestInitStartsNewLife(t *testing.T) {
 	g.AddEdge(&n, succ)
 	g.Seal(succ)
 	n.AddHold(&testHold{log: h, tag: 7})
-	if succ0[0] != succ || hold0[0] == nil {
-		t.Fatalf("reserved room unused: succ %v hold %v", succ0[0], hold0[0])
+	if room.succs[0] != succ || room.holds[0] == nil {
+		t.Fatalf("reserved room unused: succ %v hold %v", room.succs[0], room.holds[0])
 	}
 	n.MarkPoisoned()
 	n.SetAffinity(2)
@@ -387,7 +386,7 @@ func TestInitStartsNewLife(t *testing.T) {
 	if !first.Done() || len(h.tags) != 1 {
 		t.Fatalf("after Complete: done %v, releases %v", first.Done(), h.tags)
 	}
-	if succ0[0] != nil || hold0[0] != nil {
+	if room.succs[0] != nil || room.holds[0] != nil {
 		t.Fatalf("a completed node still references its successor or hold")
 	}
 
@@ -430,5 +429,56 @@ func TestAddEdgeFromDonePoisonedTaints(t *testing.T) {
 	g.AddEdge(bad, dep)
 	if !dep.Poisoned() || dep.NumPredecessors() != 0 {
 		t.Fatalf("poisoned %v preds %d, want tainted and no edge", dep.Poisoned(), dep.NumPredecessors())
+	}
+}
+
+// TestSteadyStateSuccessorListsAllocateNothing: with the caller
+// recycling its nodes, a producer whose successors outgrow its room
+// moves them into the graph's store and gives the storage back when it
+// completes, so a node that takes the wide role after narrow ones, or
+// the narrow role after a wide one, allocates nothing either way.
+func TestSteadyStateSuccessorListsAllocateNothing(t *testing.T) {
+	const wide = 192
+	g := New(func(*Node, int) {})
+	type rec struct {
+		n    Node
+		room Room
+	}
+	const producers = 7 // odd: each takes both widths in turn
+	recs := make([]rec, producers+wide)
+	for i := range recs {
+		recs[i].n.Reserve(&recs[i].room)
+	}
+	round := 0
+	step := func() {
+		// The producers take turns and every other round is wide.
+		p := &recs[round%producers].n
+		width := 1
+		if round%2 == 0 {
+			width = wide
+		}
+		round++
+		g.Init(p, 0, "p", false, nil)
+		g.Seal(p)
+		for i := 0; i < width; i++ {
+			s := &recs[producers+i].n
+			g.Init(s, 0, "s", false, nil)
+			g.AddEdge(p, s)
+			g.Seal(s)
+		}
+		g.MarkRunning(p)
+		g.Complete(p, 0)
+		for i := 0; i < width; i++ {
+			s := &recs[producers+i].n
+			g.MarkRunning(s)
+			g.Complete(s, 0)
+		}
+	}
+	step()
+	if a := testing.AllocsPerRun(30, step); a != 0 {
+		t.Fatalf("successor lists allocate %v times per round in steady state, want 0", a)
+	}
+	if n := &recs[0].n; cap(n.succs) != len(recs[0].room.succs) {
+		t.Fatalf("a completed producer keeps a list of capacity %d, not its room", cap(n.succs))
 	}
 }

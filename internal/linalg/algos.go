@@ -40,6 +40,10 @@ type Algos struct {
 	rt *core.Context
 	p  kernels.Provider
 	m  int
+	// batch is reused by every batched algorithm, so its arena grows
+	// once, not on every call.  Algos is bound to one context, so it
+	// is that context's submitter's alone.
+	batch *core.Batch
 
 	scopy   *core.TaskDef // b := a            (whole-block copy)
 	sgemmNN *core.TaskDef // c += a·b          (matrix multiplication)
@@ -77,7 +81,7 @@ func New(rt *core.Runtime, p kernels.Provider, m int) *Algos {
 // entry point multi-tenant clients use (one Algos per context; the
 // single-submitter contract applies per context).
 func NewOn(c *core.Context, p kernels.Provider, m int) *Algos {
-	al := &Algos{rt: c, p: p, m: m}
+	al := &Algos{rt: c, p: p, m: m, batch: c.NewBatch()}
 
 	al.scopy = core.NewTaskDef("scopy_t", func(a *core.Args) {
 		copy(a.F32(1), a.F32(0))
@@ -199,7 +203,7 @@ func NewOn(c *core.Context, p kernels.Provider, m int) *Algos {
 // and with pooling the superseded round's storage is recycled into the
 // next round's renames.  The ablation-rename experiment is built on it.
 func (al *Algos) ResetFrom(dst, src *hypermatrix.Matrix) {
-	b := al.rt.NewBatch()
+	b := al.batch
 	for i := 0; i < dst.N; i++ {
 		for j := 0; j < dst.N; j++ {
 			b.Add(al.scopy, core.In(src.Block(i, j)), core.Out(dst.Block(i, j)))

@@ -20,7 +20,7 @@ import (
 // enter the dependency tracker through the amortized Batch path.
 func (al *Algos) CholeskyDense(a *hypermatrix.Matrix) {
 	n := a.N
-	b := al.rt.NewBatch()
+	b := al.batch
 	for j := 0; j < n; j++ {
 		for k := 0; k < j; k++ {
 			for i := j + 1; i < n; i++ {
@@ -95,7 +95,7 @@ func (al *Algos) CholeskyFlat(aflat []float32, n int) {
 //	  for i, j > k: sgemm_sub_t(A[i][k], A[k][j], A[i][j])
 func (al *Algos) LU(a *hypermatrix.Matrix) {
 	n := a.N
-	b := al.rt.NewBatch()
+	b := al.batch
 	for k := 0; k < n; k++ {
 		b.Add(al.sgetrf, core.InOut(a.Block(k, k)))
 		for j := k + 1; j < n; j++ {

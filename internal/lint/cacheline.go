@@ -27,13 +27,14 @@ import (
 //	                           only, and read by both sides
 //
 // In a struct with any tagged field, every field must be tagged (blank
-// padding fields aside), or be a struct that is tagged itself, which is
-// checked in place, field by field.  Two fields whose tags differ must
-// have 64 bytes or more between the end of the first and the start of the
-// second.  The same holds across the end of the struct, for its last and
-// first field: array elements and heap neighbours of the same size class
-// follow each other directly.  Offsets are the gc compiler's for the
-// architecture the analysis runs on.
+// padding fields aside), or be a struct that is tagged itself, or an
+// array of one, which is checked in place, field by field and element
+// by element.  Two fields whose tags differ must have 64 bytes or more
+// between the end of the first and the start of the second.  The same
+// holds across the end of the struct, for its last and first field:
+// array elements and heap neighbours of the same size class follow each
+// other directly.  Offsets are the gc compiler's for the architecture
+// the analysis runs on.
 func init() {
 	Register(&Analyzer{
 		Name: "cacheline",
@@ -84,7 +85,7 @@ type cacheLineCheck struct {
 func runCacheLine(pass *Pass) error {
 	c := &cacheLineCheck{pass: pass, tags: map[token.Pos]string{}}
 	// Tags are collected from every source the load parsed: a tagged
-	// struct of another package (deps.FreeList inside core.Context) is
+	// struct of another package (recycle.FreeList inside core.Context) is
 	// checked in place, whether or not its package is being analyzed.
 	own := map[*ast.File]bool{}
 	for _, f := range pass.Unit.Files {
@@ -145,11 +146,24 @@ func (c *cacheLineCheck) tagged(st *types.Struct) bool {
 		if c.tags[f.Pos()] != "" {
 			return true
 		}
-		if sub, ok := f.Type().Underlying().(*types.Struct); ok && c.tagged(sub) {
+		if sub, _ := c.nested(f.Type()); sub != nil {
 			return true
 		}
 	}
 	return false
+}
+
+// nested returns the tagged struct a field of type t holds by value,
+// and how many of it: one, or an array's length.
+func (c *cacheLineCheck) nested(t types.Type) (*types.Struct, int64) {
+	n := int64(1)
+	if arr, ok := t.Underlying().(*types.Array); ok {
+		t, n = arr.Elem(), arr.Len()
+	}
+	if sub, ok := t.Underlying().(*types.Struct); ok && c.tagged(sub) {
+		return sub, n
+	}
+	return nil, 0
 }
 
 // flatten lists the fields of st in offset order, base bytes into the
@@ -164,11 +178,14 @@ func (c *cacheLineCheck) flatten(st *types.Struct, base int64, top *types.Var, o
 		if owner == nil {
 			owner = f
 		}
-		sub, nested := f.Type().Underlying().(*types.Struct)
+		sub, n := c.nested(f.Type())
 		switch tag := c.tags[f.Pos()]; {
 		case tag == "" && f.Name() == "_":
-		case tag == "" && nested && c.tagged(sub):
-			out = c.flatten(sub, base+off, owner, out)
+		case tag == "" && sub != nil:
+			size := sizes.Sizeof(sub)
+			for i := int64(0); i < n; i++ {
+				out = c.flatten(sub, base+off+i*size, owner, out)
+			}
 		default:
 			out = append(out, layoutField{f, tag, base + off, base + off + sizes.Sizeof(f.Type()), owner})
 		}

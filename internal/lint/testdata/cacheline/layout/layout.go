@@ -67,7 +67,7 @@ type misspelt struct {
 	b atomic.Int64 //smpss:writer=wroker // want "unknown writer \"wroker\"" "field misspelt.b has no //smpss:writer= tag"
 }
 
-// list is a tagged struct that is padded on its own, like deps.FreeList.
+// list is a tagged struct that is padded on its own, like recycle.FreeList.
 type list[T any] struct {
 	ready []*T //smpss:writer=submitter
 	_     pad
@@ -88,6 +88,27 @@ type hostBad struct {
 	items list[int]    // want "field ready \\(writer=submitter\\) starts 0 bytes after n \\(writer=worker\\) ends"
 }
 
+// classesOK nests an array of lists, like recycle.Spill: each element is
+// checked in place, and each pads its own sides.
+type classesOK struct {
+	n     atomic.Int64 //smpss:writer=submitter
+	items [3]list[int]
+}
+
+// unpadded is a list without its trailing pad, which the rule catches
+// on its own too.
+type unpadded[T any] struct {
+	ready []*T //smpss:writer=submitter
+	_     pad
+	freed []*T //smpss:writer=worker // want "unpadded ends 0 bytes after freed \\(writer=worker\\) and starts with ready \\(writer=submitter\\)"
+}
+
+// classesBad puts one element's Put side right before the next one's Get
+// side, and the last Put side right before the first Get side.
+type classesBad struct {
+	items [2]unpadded[int] // want "field ready \\(writer=submitter\\) starts 0 bytes after freed \\(writer=worker\\) ends" "classesBad ends 0 bytes after freed \\(writer=worker\\) and starts with ready \\(writer=submitter\\)"
+}
+
 // plain has no tags and any layout it likes.
 type plain struct {
 	a, b atomic.Int64
@@ -103,5 +124,7 @@ var (
 	_ misspelt
 	_ hostOK
 	_ hostBad
+	_ classesOK
+	_ classesBad
 	_ plain
 )
